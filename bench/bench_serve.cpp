@@ -41,6 +41,14 @@
 // sheds/retries the convergence cost and the latency the retry loop
 // added over first-try requests.
 //
+// A fifth round times response encoding: one full-outcome sweep payload
+// (slack and witness on the n-event design, ~2.5 MB at n=256) wrapped by
+// analysis_response_json, which splices the compacted payload into the
+// envelope, against the tree reference it replaced (a json_value envelope
+// around json_parse(payload), then write()).  Best of 5 rounds each; the
+// two lines must be byte-identical (encode_mismatches, CI-gated at zero,
+// as is the speedup floor).
+//
 //   bench_serve [--events N] [--clients C] [--requests R] [--burst B]
 //               [--workers W] [--rounds K] [--seed S] [--json out.json]
 //               [--overload-clients C2] [--overload-requests R2]
@@ -50,6 +58,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <iostream>
 #include <map>
@@ -350,6 +359,65 @@ retry_result run_retry(const signal_graph& sg,
     return result;
 }
 
+/// The response encoder analysis_response_json replaced: parse the
+/// payload into a tree, build the envelope around it, write the whole.
+std::string tree_response_json(const analysis_response& response)
+{
+    char elapsed[40];
+    std::snprintf(elapsed, sizeof elapsed, "%.12g", response.elapsed_ms);
+    if (std::stod(elapsed) != response.elapsed_ms)
+        std::snprintf(elapsed, sizeof elapsed, "%.17g", response.elapsed_ms);
+    json_value doc = json_value::object();
+    doc.set("id", json_value::string(response.id));
+    doc.set("ok", json_value::boolean_value(response.ok));
+    doc.set("elapsed_ms", json_value::raw_number(elapsed));
+    doc.set("design_version", json_value::number(std::uint64_t{response.design_version}));
+    doc.set("scenarios", json_value::number(std::uint64_t{response.scenarios}));
+    doc.set("coalesced", json_value::boolean_value(response.coalesced));
+    doc.set("payload", json_parse(response.payload, "payload"));
+    return doc.write();
+}
+
+struct encode_result {
+    std::size_t payload_bytes = 0;
+    double encode_ms = 0.0; ///< analysis_response_json, best round
+    double tree_ms = 0.0;   ///< tree reference, best round
+    std::size_t mismatches = 0;
+};
+
+/// Times both encoders on one full-outcome sweep response of `sg`.
+encode_result run_encode(const signal_graph& sg)
+{
+    analysis_request request;
+    request.kind = request_kind::sweep;
+    request.id = "encode";
+    request.options.solver = cycle_time_solver::border_sweep;
+    analysis_response response = execute_request(request, sg);
+    response.elapsed_ms = 42.125;
+
+    encode_result result;
+    result.payload_bytes = response.payload.size();
+    if (!response.ok) {
+        result.mismatches = 1;
+        return result;
+    }
+    const auto ms_since = [](clock_type::time_point start) {
+        return std::chrono::duration<double, std::milli>(clock_type::now() - start).count();
+    };
+    for (int round = 0; round < 5; ++round) {
+        clock_type::time_point start = clock_type::now();
+        const std::string fast = analysis_response_json(response);
+        const double fast_ms = ms_since(start);
+        start = clock_type::now();
+        const std::string tree = tree_response_json(response);
+        const double tree_ms = ms_since(start);
+        if (fast != tree) ++result.mismatches;
+        if (round == 0 || fast_ms < result.encode_ms) result.encode_ms = fast_ms;
+        if (round == 0 || tree_ms < result.tree_ms) result.tree_ms = tree_ms;
+    }
+    return result;
+}
+
 } // namespace
 
 int main(int argc, char** argv)
@@ -465,6 +533,10 @@ int main(int argc, char** argv)
             ? static_cast<double>(retry.completed) / static_cast<double>(retry_total)
             : 1.0;
 
+    // The encode round: one large payload, both encoders, byte-compared.
+    const encode_result encode = run_encode(sg);
+    const double encode_speedup = encode.encode_ms > 0 ? encode.tree_ms / encode.encode_ms : 0.0;
+
     const double solo_rate = static_cast<double>(solo.scenarios) / solo.wall_seconds;
     const double serve_rate =
         static_cast<double>(coalesced.scenarios) / coalesced.wall_seconds;
@@ -495,6 +567,9 @@ int main(int argc, char** argv)
               << " reconnects, mean " << retry.mean_attempts << " attempts, +"
               << retry.added_latency_ms << " ms retried latency, "
               << retry.unexpected_failures << " unexpected failures\n";
+    std::cout << "encode    : " << encode.payload_bytes << "-byte sweep payload: "
+              << encode.encode_ms << " ms spliced vs " << encode.tree_ms << " ms via tree ("
+              << encode_speedup << "x), " << encode.mismatches << " mismatches\n";
 
     reporter.record("events", static_cast<double>(sg.event_count()), "count");
     reporter.record("arcs", static_cast<double>(sg.arc_count()), "count");
@@ -555,6 +630,19 @@ int main(int argc, char** argv)
     reporter.record("retry_unexpected_failures",
                     static_cast<double>(retry.unexpected_failures), "count");
 
+    // Encode metrics.  The gateable views: the spliced encoder must beat
+    // the tree reference by a hardware-independent ratio and reproduce its
+    // bytes exactly.
+    reporter.record("encode_payload_bytes", static_cast<double>(encode.payload_bytes), "bytes");
+    reporter.record("encode_ms", encode.encode_ms, "ms");
+    reporter.record("encode_tree_ms", encode.tree_ms, "ms");
+    reporter.record("encode_speedup_vs_tree", encode_speedup, "x");
+    reporter.record("encode_mismatches", static_cast<double>(encode.mismatches), "count");
+
+    if (encode.mismatches != 0) {
+        std::cerr << "FAIL: the spliced response encoder diverges from the tree reference\n";
+        return 1;
+    }
     if (retry.unexpected_failures != 0) {
         std::cerr << "FAIL: the retrying client failed to converge "
                   << retry.unexpected_failures << " requests\n";

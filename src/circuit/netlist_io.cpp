@@ -148,8 +148,8 @@ private:
 
     token advance(const std::string& what)
     {
-        require(pos_ < tokens_.size(),
-                "parse_circuit: unexpected end of input, expected " + what);
+        if (pos_ >= tokens_.size())
+            throw error("parse_circuit: unexpected end of input, expected " + what);
         return tokens_[pos_++];
     }
 

@@ -427,39 +427,58 @@ json_value analysis_request_json(const analysis_request& request)
     return doc;
 }
 
+namespace {
+
+/// The error object as json_value::write() renders it:
+/// {"code": ..., "message": ...[, "retry_after_ms": N]}.
+void append_error_object(std::string& out, const api_error& error)
+{
+    out += "{\"code\": ";
+    out += json_quote(error.code);
+    out += ", \"message\": ";
+    out += json_quote(error.message);
+    if (error.retry_after_ms > 0) {
+        out += ", \"retry_after_ms\": ";
+        out += std::to_string(error.retry_after_ms);
+    }
+    out += '}';
+}
+
+} // namespace
+
 std::string analysis_response_json(const analysis_response& response)
 {
-    json_value doc = json_value::object();
-    doc.set("id", json_value::string(response.id));
-    doc.set("ok", json_value::boolean_value(response.ok));
-    doc.set("elapsed_ms", json_value::raw_number(double_spelling(response.elapsed_ms)));
+    // The envelope is written directly in json_value::write()'s layout and
+    // the payload spliced in compacted, so an ok response builds no tree.
+    std::string out;
+    out.reserve(response.payload.size() + 160);
+    out += "{\"id\": ";
+    out += json_quote(response.id);
+    out += response.ok ? ", \"ok\": true" : ", \"ok\": false";
+    out += ", \"elapsed_ms\": ";
+    out += double_spelling(response.elapsed_ms);
     if (response.ok) {
-        doc.set("design_version",
-                json_value::number(std::uint64_t{response.design_version}));
-        doc.set("scenarios", json_value::number(std::uint64_t{response.scenarios}));
-        doc.set("coalesced", json_value::boolean_value(response.coalesced));
-        doc.set("payload", json_parse(response.payload, "payload"));
+        out += ", \"design_version\": ";
+        out += std::to_string(response.design_version);
+        out += ", \"scenarios\": ";
+        out += std::to_string(response.scenarios);
+        out += response.coalesced ? ", \"coalesced\": true" : ", \"coalesced\": false";
+        out += ", \"payload\": ";
+        out += json_compact(response.payload, "payload");
     } else {
-        json_value err = json_value::object();
-        err.set("code", json_value::string(response.error.code));
-        err.set("message", json_value::string(response.error.message));
-        if (response.error.retry_after_ms > 0)
-            err.set("retry_after_ms",
-                    json_value::number(std::uint64_t{response.error.retry_after_ms}));
-        doc.set("error", std::move(err));
+        out += ", \"error\": ";
+        append_error_object(out, response.error);
     }
-    return doc.write();
+    out += '}';
+    return out;
 }
 
 std::string api_error_json(const api_error& error)
 {
-    json_value doc = json_value::object();
-    json_value& err = doc.set("error", json_value::object());
-    err.set("code", json_value::string(error.code));
-    err.set("message", json_value::string(error.message));
-    if (error.retry_after_ms > 0)
-        err.set("retry_after_ms", json_value::number(std::uint64_t{error.retry_after_ms}));
-    return doc.write();
+    std::string out = "{\"error\": ";
+    append_error_object(out, error);
+    out += '}';
+    return out;
 }
 
 api_error classify_error(const std::string& diagnostic, const std::string& fallback)

@@ -239,8 +239,10 @@ struct analysis_response {
 [[nodiscard]] json_value analysis_request_json(const analysis_request& request);
 
 /// Serializes a response as one NDJSON line.  The payload document is
-/// embedded as a JSON value (re-parsed and compacted, raw number
-/// spellings preserved).
+/// embedded compacted (util/json.h: json_compact — validated in the same
+/// pass, raw number spellings preserved), byte-identical to re-parsing it
+/// into a json_value envelope and writing that.  Throws tsg::error when
+/// an ok response's payload is not valid JSON.
 [[nodiscard]] std::string analysis_response_json(const analysis_response& response);
 
 /// Renders a bare structured error document — the normalized error shape

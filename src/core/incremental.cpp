@@ -96,9 +96,10 @@ void incremental_engine::pk_require_acyclic(event_id from, event_id to)
     };
     const incremental_topo::insert_result r = pk_.add_edge(from, to, succ, pred);
     counters_.topo_window += r.window;
-    require(r.acyclic, "incremental_engine: edit closes a token-free cycle ('" +
-                           sg_.events_[from].name + "' -> '" + sg_.events_[to].name +
-                           "' breaks liveness)");
+    if (!r.acyclic)
+        throw error("incremental_engine: edit closes a token-free cycle ('" +
+                    sg_.events_[from].name + "' -> '" + sg_.events_[to].name +
+                    "' breaks liveness)");
 }
 
 // --- raw edit application ----------------------------------------------------

@@ -73,6 +73,7 @@ struct analysis_service::design_version {
     /// same documented exception the coalescer already carries.
     std::mutex cache_mutex;
     std::map<std::string, std::pair<std::string, std::size_t>> payload_cache;
+    std::size_t payload_cache_bytes = 0; ///< keys + payloads, <= the budget
 
     std::uint64_t last_used = 0; ///< registry use tick, for LRU eviction
 };
@@ -830,15 +831,24 @@ void analysis_service::handle_batch(pending first)
             response.design_version = version->version;
             response.scenarios = spans[i].count;
             response.coalesced = coalesced;
-            if (options_.payload_cache) {
-                std::lock_guard<std::mutex> lk(version->cache_mutex);
+            const std::size_t budget = options_.payload_cache_bytes;
+            if (options_.payload_cache && response.payload.size() <= budget) {
+                std::string key = payload_cache_key(live[i].request);
+                const std::size_t bytes = key.size() + response.payload.size();
                 // Bounded like the MC-table cache: clear-all on overflow
                 // beats tracking recency for a cache this cheap to refill.
-                if (version->payload_cache.size() >= options_.max_cached_payloads)
-                    version->payload_cache.clear();
-                version->payload_cache.emplace(
-                    payload_cache_key(live[i].request),
-                    std::make_pair(response.payload, spans[i].count));
+                if (bytes <= budget) {
+                    std::lock_guard<std::mutex> lk(version->cache_mutex);
+                    if (version->payload_cache_bytes + bytes > budget) {
+                        version->payload_cache.clear();
+                        version->payload_cache_bytes = 0;
+                    }
+                    if (version->payload_cache
+                            .emplace(std::move(key),
+                                     std::make_pair(response.payload, spans[i].count))
+                            .second)
+                        version->payload_cache_bytes += bytes;
+                }
             }
         } catch (const error& e) {
             response = respond_error(live[i], e.what());
@@ -872,7 +882,14 @@ service_metrics analysis_service::metrics() const
     {
         std::lock_guard<std::mutex> lk(registry_mutex_);
         m.designs = designs_.size();
-        for (const auto& [id, entry] : designs_) m.versions += entry->versions.size();
+        for (const auto& [id, entry] : designs_) {
+            m.versions += entry->versions.size();
+            for (const std::shared_ptr<design_version>& v : entry->versions) {
+                std::lock_guard<std::mutex> cache_lock(v->cache_mutex);
+                m.cache_entries += v->payload_cache.size();
+                m.cache_bytes += v->payload_cache_bytes;
+            }
+        }
     }
     {
         std::lock_guard<std::mutex> lk(queue_mutex_);
@@ -926,7 +943,8 @@ std::string analysis_service::stats_json() const
         << ", \"drain_rejected\": " << m.drain_rejected
         << ", \"draining\": " << (m.draining ? "true" : "false")
         << ", \"arrival_ewma_us\": " << format_double(m.arrival_ewma_us, 6) << "},\n";
-    out << "  \"cache\": {\"hits\": " << m.cache_hits << "},\n";
+    out << "  \"cache\": {\"hits\": " << m.cache_hits << ", \"entries\": " << m.cache_entries
+        << ", \"bytes\": " << m.cache_bytes << "},\n";
     out << "  \"fleet\": {";
     for (std::size_t i = 0; i < m.fleet.size(); ++i) {
         const auto& [id, t] = m.fleet[i];

@@ -39,9 +39,9 @@
 // "overloaded" response instead of growing the deque without limit — a
 // client sees either its result or a prompt, retryable error, never an
 // unbounded wait.  Deterministic batch payloads are additionally cached
-// across requests (keyed on design version + canonical request body),
-// and per-design fleet counters break the serving traffic down in the
-// `stats` payload.
+// across requests (keyed on design version + canonical request body,
+// bounded by a per-version byte budget), and per-design fleet counters
+// break the serving traffic down in the `stats` payload.
 //
 // Transport is the caller's problem: submit() is the in-process API
 // (thread-safe, returns a future), submit_async() the callback flavour
@@ -122,7 +122,11 @@ struct service_options {
     /// without touching the engine.  Keyed on (design version, canonical
     /// request document minus the client correlation id).
     bool payload_cache = true;
-    std::size_t max_cached_payloads = 128; ///< per design version
+    /// Per-version byte budget of the payload cache, counting key plus
+    /// payload bytes.  An insert that would overflow it clears the
+    /// version's cache first; a payload larger than the whole budget is
+    /// served but never cached.
+    std::size_t payload_cache_bytes = std::size_t{1} << 20;
 
     /// Latency histogram: bin count and support [0, hi] in microseconds
     /// (quantiles clamp to the observed exact extremes regardless).
@@ -163,6 +167,8 @@ struct service_metrics {
     std::uint64_t batch_requests = 0;     ///< batch-kind requests served
     std::uint64_t coalesced_requests = 0; ///< of those, served from merged runs
     std::uint64_t cache_hits = 0;         ///< served from the payload cache
+    std::size_t cache_entries = 0;        ///< payloads cached across live versions
+    std::size_t cache_bytes = 0;          ///< their key + payload bytes
     std::uint64_t scenarios = 0;          ///< scenarios evaluated in batches
     std::uint64_t edits_committed = 0;    ///< edit requests that committed a version
     std::uint64_t versions_evicted = 0;

@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -42,6 +43,32 @@ std::string shed_line(const char* code, const std::string& id, const std::string
 std::string overloaded_line(const std::string& id, const std::string& message)
 {
     return shed_line("overloaded", id, message);
+}
+
+/// Encodes a completed response for a connection whose write buffer
+/// holds at most `write_cap` bytes (0: unbounded).  Runs inside the
+/// completion callback on a worker thread, so it answers instead of
+/// throwing: an encoding failure becomes "internal", and a line the
+/// buffer could never hold becomes "invalid_request" naming both sizes —
+/// rather than a slow-reader disconnect midway through the line.
+std::string encode_completion(const analysis_response& response, std::size_t write_cap)
+{
+    analysis_response refusal;
+    refusal.id = response.id;
+    refusal.elapsed_ms = response.elapsed_ms;
+    try {
+        std::string line = analysis_response_json(response);
+        if (write_cap == 0 || line.size() < write_cap) return line; // + '\n' fits
+        refusal.error = {"invalid_request",
+                         "response of " + std::to_string(line.size() + 1) +
+                             " bytes exceeds the connection's write buffer cap of " +
+                             std::to_string(write_cap) +
+                             " bytes; request a smaller result (fewer scenarios, or "
+                             "without slack and witness)"};
+    } catch (const std::exception& e) {
+        refusal.error = {"internal", std::string("response encoding failed: ") + e.what()};
+    }
+    return analysis_response_json(refusal);
 }
 
 /// eventfd writes are 8 bytes and atomic, but a signal can still
@@ -316,8 +343,8 @@ void event_loop_server::accept_ready()
                 "\n";
             [[maybe_unused]] ssize_t n =
                 ::send(fd, line.data(), line.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
-            ::close(fd);
             counters_->drain_rejected.fetch_add(1, std::memory_order_relaxed);
+            ::close(fd);
             continue;
         }
         if (conns_.size() >= options_.max_connections) {
@@ -329,13 +356,17 @@ void event_loop_server::accept_ready()
                 "\n";
             [[maybe_unused]] ssize_t n =
                 ::send(fd, line.data(), line.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
-            ::close(fd);
             counters_->rejected.fetch_add(1, std::memory_order_relaxed);
+            ::close(fd);
             continue;
         }
         if (options_.so_sndbuf > 0)
             ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.so_sndbuf,
                          sizeof(options_.so_sndbuf));
+        // Responses are whole lines flushed in batches already; Nagle
+        // would only hold a small one back until the client's delayed ACK.
+        const int nodelay = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
         const std::uint64_t id = next_conn_id_++;
         auto conn = std::make_unique<connection>(fd, id, options_.limits);
         epoll_event ev{};
@@ -466,9 +497,10 @@ void event_loop_server::process_backlog(connection& conn)
         const std::string request_id = request.id;
         auto bus = bus_;
         const std::uint64_t conn_id = conn.id();
+        const std::size_t write_cap = conn.limits().write_buffer_cap;
         const auto refusal = service_.submit_async(
-            std::move(request), [bus, conn_id, seq](analysis_response response) {
-                bus->post(conn_id, seq, analysis_response_json(response));
+            std::move(request), [bus, conn_id, seq, write_cap](analysis_response response) {
+                bus->post(conn_id, seq, encode_completion(response, write_cap));
             });
         if (refusal) {
             // Admission control shed it: the callback never runs, the
@@ -570,11 +602,14 @@ void event_loop_server::close_conn(std::uint64_t conn_id)
 {
     auto it = conns_.find(conn_id);
     if (it == conns_.end()) return;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd(), nullptr);
-    ::close(it->second->fd());
+    const int fd = it->second->fd();
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
     conns_.erase(it);
+    // Counters before close(): a peer that observes EOF must already see
+    // its connection accounted as closed.
     counters_->closed.fetch_add(1, std::memory_order_relaxed);
     counters_->active.store(conns_.size(), std::memory_order_relaxed);
+    ::close(fd);
 }
 
 void event_loop_server::fail_conn(connection& conn, const char* code,

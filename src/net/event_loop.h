@@ -25,6 +25,10 @@
 //                              responses drain: TCP backpressure reaches
 //                              the client instead of buffering its burst;
 //   * slow reader           -> write buffer hits its cap -> disconnect;
+//   * response line over the write-buffer cap -> one "invalid_request"
+//                              line naming both sizes, connection lives
+//                              (a response that fails to encode answers
+//                              "internal" the same way);
 //   * idle / stalled client -> timeout disconnect;
 //   * disconnect mid-flight -> late completions are dropped by id, the
 //                              connection slot is reclaimed immediately.

@@ -112,7 +112,8 @@ private:
 
     token advance(const std::string& what)
     {
-        require(pos_ < tokens_.size(), "parse_sg: unexpected end of input, expected " + what);
+        if (pos_ >= tokens_.size())
+            throw error("parse_sg: unexpected end of input, expected " + what);
         return tokens_[pos_++];
     }
 

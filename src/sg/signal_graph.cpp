@@ -29,8 +29,8 @@ event_id signal_graph::add_event(const std::string& name, std::string signal, po
 {
     require(!finalized_, "signal_graph: cannot add events after finalize()");
     require(!name.empty(), "signal_graph: event name must not be empty");
-    require(by_name_.find(name) == by_name_.end(),
-            "signal_graph: duplicate event name '" + name + "'");
+    if (by_name_.find(name) != by_name_.end())
+        throw error("signal_graph: duplicate event name '" + name + "'");
 
     const event_id e = structure_.add_node();
     events_.push_back(event_info{name, std::move(signal), pol, event_kind::repetitive});
@@ -43,8 +43,9 @@ arc_id signal_graph::add_arc(event_id from, event_id to, rational delay, bool ma
 {
     require(!finalized_, "signal_graph: cannot add arcs after finalize()");
     require(from < event_count() && to < event_count(), "signal_graph: bad arc endpoint");
-    require(!delay.is_negative(), "signal_graph: negative delay on arc " +
-                                      events_[from].name + " -> " + events_[to].name);
+    if (delay.is_negative())
+        throw error("signal_graph: negative delay on arc " + events_[from].name + " -> " +
+                    events_[to].name);
 
     const arc_id a = structure_.add_arc(from, to);
     arcs_.push_back(arc_info{from, to, delay, marked, disengageable});
@@ -61,7 +62,7 @@ event_id signal_graph::find_event(const std::string& name) const
 event_id signal_graph::event_by_name(const std::string& name) const
 {
     const event_id e = find_event(name);
-    require(e != invalid_node, "signal_graph: no event named '" + name + "'");
+    if (e == invalid_node) throw error("signal_graph: no event named '" + name + "'");
     return e;
 }
 
@@ -121,13 +122,13 @@ void signal_graph::validate()
         const arc_info& arc = arcs_[id];
         const bool from_repetitive = events_[arc.from].kind == event_kind::repetitive;
         const bool to_repetitive = events_[arc.to].kind == event_kind::repetitive;
-        if (arc.disengageable)
-            require(!from_repetitive,
-                    "signal_graph: disengageable arc sourced at repetitive event '" +
+        if (arc.disengageable && from_repetitive)
+            throw error("signal_graph: disengageable arc sourced at repetitive event '" +
                         events_[arc.from].name + "' violates well-formedness");
-        require(!(from_repetitive && !to_repetitive),
-                "signal_graph: arc from repetitive '" + events_[arc.from].name +
-                    "' to one-shot '" + events_[arc.to].name + "' makes the graph unbounded");
+        if (from_repetitive && !to_repetitive)
+            throw error("signal_graph: arc from repetitive '" + events_[arc.from].name +
+                        "' to one-shot '" + events_[arc.to].name +
+                        "' makes the graph unbounded");
     }
 
     if (repetitive_.empty()) return; // purely acyclic graph: PERT territory

@@ -46,7 +46,8 @@ std::vector<event_id> token_game::enabled_events() const
 void token_game::fire(event_id e)
 {
     require(e < sg_.event_count(), "token_game::fire: bad event");
-    require(enabled(e), "token_game::fire: event '" + sg_.event(e).name + "' is not enabled");
+    if (!enabled(e))
+        throw error("token_game::fire: event '" + sg_.event(e).name + "' is not enabled");
 
     for (const arc_id a : sg_.structure().in_arcs(e)) {
         if (!arc_engaged(a)) continue;

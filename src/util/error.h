@@ -26,12 +26,27 @@ public:
 };
 
 /// Throws tsg::error with `message` unless `condition` holds.
+///
+/// The const char* overloads let a literal message pass without building a
+/// std::string: a check that holds costs one branch.  A message assembled
+/// from parts is built before the call even when the check holds, so
+/// per-element hot paths spell such checks `if (!cond) throw error(...)`.
+inline void require(bool condition, const char* message)
+{
+    if (!condition) throw error(message);
+}
+
 inline void require(bool condition, const std::string& message)
 {
     if (!condition) throw error(message);
 }
 
 /// Throws tsg::internal_error with `message` unless `condition` holds.
+inline void ensure(bool condition, const char* message)
+{
+    if (!condition) throw internal_error(message);
+}
+
 inline void ensure(bool condition, const std::string& message)
 {
     if (!condition) throw internal_error(message);

@@ -11,10 +11,15 @@ namespace tsg {
 
 namespace {
 
+/// Reading position over one document.  Every check throws only when it
+/// fails: the diagnostic strings are built on the error path, never per
+/// token.
 struct cursor {
     const std::string& text;
     const std::string& context;
     std::size_t pos = 0;
+
+    [[noreturn]] void fail(const char* what) const { throw error(context + ": " + what); }
 
     void skip_ws()
     {
@@ -24,38 +29,85 @@ struct cursor {
     char peek()
     {
         skip_ws();
-        require(pos < text.size(), context + ": unexpected end of JSON");
+        if (pos >= text.size()) fail("unexpected end of JSON");
         return text[pos];
     }
     void expect(char c)
     {
-        require(peek() == c, context + ": expected '" + std::string(1, c) + "' at offset " +
-                                 std::to_string(pos));
+        if (peek() != c)
+            throw error(context + ": expected '" + std::string(1, c) + "' at offset " +
+                        std::to_string(pos));
         ++pos;
+    }
+    /// Consumes `word` when the text continues with it.
+    bool take(const char* word, std::size_t length)
+    {
+        if (text.compare(pos, length, word) != 0) return false;
+        pos += length;
+        return true;
+    }
+    /// Consumes a number and returns where its raw spelling starts: the
+    /// longest run of digits and "+-.eE" (spelling checks are the
+    /// consumer's business).
+    std::size_t scan_number()
+    {
+        const std::size_t start = pos;
+        while (pos < text.size()) {
+            const char c = text[pos];
+            if (!std::isdigit(static_cast<unsigned char>(c)) && c != '+' && c != '-' &&
+                c != '.' && c != 'e' && c != 'E')
+                break;
+            ++pos;
+        }
+        if (pos == start) fail("malformed JSON value");
+        return start;
+    }
+    /// Consumes a string, handing each decoded character to `emit`.
+    /// \n, \t and \r decode to their control characters; any other escaped
+    /// character stands for itself (so \" \\ \/ decode as usual, and \u0041
+    /// decodes to "u0041").
+    template <typename Emit>
+    void scan_string(Emit&& emit)
+    {
+        expect('"');
+        while (true) {
+            if (pos >= text.size()) fail("unterminated string");
+            const char c = text[pos++];
+            if (c == '"') return;
+            if (c != '\\') {
+                emit(c);
+                continue;
+            }
+            if (pos >= text.size()) fail("dangling escape");
+            const char e = text[pos++];
+            switch (e) {
+            case 'n': emit('\n'); break;
+            case 't': emit('\t'); break;
+            case 'r': emit('\r'); break;
+            default: emit(e); break;
+            }
+        }
     }
 };
 
+/// Appends `c` as json_quote spells it inside a string literal.
+void append_escaped(std::string& out, char c)
+{
+    switch (c) {
+    case '"': out += "\\\""; break;
+    case '\\': out += "\\\\"; break;
+    case '\n': out += "\\n"; break;
+    case '\t': out += "\\t"; break;
+    case '\r': out += "\\r"; break;
+    default: out += c; break;
+    }
+}
+
 std::string parse_string(cursor& in)
 {
-    in.expect('"');
     std::string out;
-    while (true) {
-        require(in.pos < in.text.size(), in.context + ": unterminated string");
-        const char c = in.text[in.pos++];
-        if (c == '"') return out;
-        if (c == '\\') {
-            require(in.pos < in.text.size(), in.context + ": dangling escape");
-            const char e = in.text[in.pos++];
-            switch (e) {
-            case 'n': out += '\n'; break;
-            case 't': out += '\t'; break;
-            case 'r': out += '\r'; break;
-            default: out += e; break; // \" \\ \/ and anything else literal
-            }
-        } else {
-            out += c;
-        }
-    }
+    in.scan_string([&](char c) { out += c; });
+    return out;
 }
 
 json_value parse_value(cursor& in)
@@ -95,30 +147,87 @@ json_value parse_value(cursor& in)
         v.text = parse_string(in);
         return v;
     }
-    if (in.text.compare(in.pos, 4, "true") == 0) {
-        in.pos += 4;
+    if (in.take("true", 4)) {
         v.k = json_value::kind::bool_v;
         v.boolean = true;
         return v;
     }
-    if (in.text.compare(in.pos, 5, "false") == 0) {
-        in.pos += 5;
+    if (in.take("false", 5)) {
         v.k = json_value::kind::bool_v;
         return v;
     }
-    if (in.text.compare(in.pos, 4, "null") == 0) {
-        in.pos += 4;
-        return v;
-    }
-    const std::size_t start = in.pos;
-    while (in.pos < in.text.size() &&
-           (std::isdigit(static_cast<unsigned char>(in.text[in.pos])) ||
-            std::string("+-.eE").find(in.text[in.pos]) != std::string::npos))
-        ++in.pos;
-    require(in.pos > start, in.context + ": malformed JSON value");
+    if (in.take("null", 4)) return v;
+    const std::size_t start = in.scan_number();
     v.k = json_value::kind::number_v;
     v.text = in.text.substr(start, in.pos - start);
     return v;
+}
+
+/// Writes the string at the cursor as write() re-quotes its decoded text.
+void compact_string(cursor& in, std::string& out)
+{
+    out += '"';
+    in.scan_string([&](char c) { append_escaped(out, c); });
+    out += '"';
+}
+
+/// parse_value() and write() fused: the same grammar walked in the same
+/// order (so the same diagnostics), appending the compact rendering
+/// instead of building nodes.
+void compact_value(cursor& in, std::string& out)
+{
+    const char c = in.peek();
+    if (c == '{') {
+        in.expect('{');
+        out += '{';
+        if (in.peek() != '}') {
+            while (true) {
+                compact_string(in, out);
+                in.expect(':');
+                out += ": ";
+                compact_value(in, out);
+                if (in.peek() != ',') break;
+                in.expect(',');
+                out += ", ";
+            }
+        }
+        in.expect('}');
+        out += '}';
+        return;
+    }
+    if (c == '[') {
+        in.expect('[');
+        out += '[';
+        if (in.peek() != ']') {
+            while (true) {
+                compact_value(in, out);
+                if (in.peek() != ',') break;
+                in.expect(',');
+                out += ", ";
+            }
+        }
+        in.expect(']');
+        out += ']';
+        return;
+    }
+    if (c == '"') {
+        compact_string(in, out);
+        return;
+    }
+    if (in.take("true", 4)) {
+        out += "true";
+        return;
+    }
+    if (in.take("false", 5)) {
+        out += "false";
+        return;
+    }
+    if (in.take("null", 4)) {
+        out += "null";
+        return;
+    }
+    const std::size_t start = in.scan_number();
+    out.append(in.text, start, in.pos - start);
 }
 
 } // namespace
@@ -239,23 +348,27 @@ json_value json_parse(const std::string& text, const std::string& context)
     cursor in{text, context};
     json_value v = parse_value(in);
     in.skip_ws();
-    require(in.pos == text.size(), context + ": trailing garbage after the document");
+    if (in.pos != text.size()) in.fail("trailing garbage after the document");
     return v;
+}
+
+std::string json_compact(const std::string& text, const std::string& context)
+{
+    cursor in{text, context};
+    std::string out;
+    out.reserve(text.size());
+    compact_value(in, out);
+    in.skip_ws();
+    if (in.pos != text.size()) in.fail("trailing garbage after the document");
+    return out;
 }
 
 std::string json_quote(const std::string& s)
 {
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default: out += c; break;
-        }
-    }
+    std::string out;
+    out.reserve(s.size() + 2);
+    out += '"';
+    for (const char c : s) append_escaped(out, c);
     out += '"';
     return out;
 }

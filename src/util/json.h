@@ -2,7 +2,9 @@
 //
 // One recursive value type (json_value), one recursive-descent parser and
 // one writer serve the unified request/response codec (core/api.h), the
-// edit-script parser and the service's NDJSON framing.  Scope is exactly
+// edit-script parser and the service's NDJSON framing; json_compact() runs
+// parser and writer as one pass for documents that are only passed
+// through (response payloads).  Scope is exactly
 // what those surfaces need — in-memory strings, exact number spellings,
 // insertion-ordered objects — not a general-purpose JSON library:
 //
@@ -69,6 +71,14 @@ struct json_value {
 /// `context` prefixes every diagnostic ("json", "edit script", "request").
 [[nodiscard]] json_value json_parse(const std::string& text,
                                     const std::string& context = "json");
+
+/// json_parse(text, context).write() in one validating pass that builds
+/// no tree: the same grammar, the same string decoding and re-quoting (an
+/// escaped '/' comes out as "/", an escaped "u0041" as "u0041"), raw
+/// number spellings, and the same diagnostics for the same malformed
+/// input.
+[[nodiscard]] std::string json_compact(const std::string& text,
+                                       const std::string& context = "json");
 
 /// Quotes and escapes a string for embedding in a JSON document.
 [[nodiscard]] std::string json_quote(const std::string& s);

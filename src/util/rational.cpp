@@ -43,19 +43,20 @@ rational rational::parse(const std::string& text)
         if (slash == std::string::npos) {
             std::size_t used = 0;
             const std::int64_t n = std::stoll(text, &used);
-            require(used == text.size(), "rational::parse: trailing junk in '" + text + "'");
+            if (used != text.size())
+                throw error("rational::parse: trailing junk in '" + text + "'");
             return rational(n);
         }
         std::size_t used_n = 0;
         std::size_t used_d = 0;
         const std::string num_text = text.substr(0, slash);
         const std::string den_text = text.substr(slash + 1);
-        require(!num_text.empty() && !den_text.empty(),
-                "rational::parse: malformed '" + text + "'");
+        if (num_text.empty() || den_text.empty())
+            throw error("rational::parse: malformed '" + text + "'");
         const std::int64_t n = std::stoll(num_text, &used_n);
         const std::int64_t d = std::stoll(den_text, &used_d);
-        require(used_n == num_text.size() && used_d == den_text.size(),
-                "rational::parse: trailing junk in '" + text + "'");
+        if (used_n != num_text.size() || used_d != den_text.size())
+            throw error("rational::parse: trailing junk in '" + text + "'");
         return rational(n, d);
     } catch (const std::invalid_argument&) {
         throw error("rational::parse: not a number: '" + text + "'");

@@ -11,6 +11,8 @@
 //     the documented exception);
 //   * an identical request body is served from the payload cache byte
 //     for byte, and the hit is counted per service and per design;
+//   * the cache stays within its per-version byte budget: an over-budget
+//     payload is served but never cached, and overflow clears;
 //   * the adaptive coalescing window scales from the arrival-rate EWMA:
 //     zero for sparse traffic, bounded multiples for dense bursts;
 //   * the stats payload exposes the admission, cache and per-design
@@ -252,6 +254,71 @@ TEST(Backpressure, IdenticalRequestBodiesAreServedFromThePayloadCache)
     EXPECT_EQ(metrics.fleet[0].second.cache_hits, 1u);
 }
 
+TEST(Backpressure, PayloadCacheStaysWithinItsByteBudget)
+{
+    const auto sweep = [](const std::string& id, rational factor) {
+        analysis_request request = make_request(request_kind::sweep, id);
+        request.options.factor = factor;
+        return request;
+    };
+    analysis_request big = make_request(request_kind::montecarlo, "big");
+    big.options.samples = 128;
+
+    // Entry size (key + payload) of one small sweep, and the big payload,
+    // measured on an unconstrained service.
+    service_options probe_options;
+    probe_options.workers = 1;
+    probe_options.coalesce = false;
+    analysis_service probe(probe_options);
+    probe.register_design("chip", c_oscillator_sg());
+    ASSERT_TRUE(probe.submit(sweep("p", rational(1, 10))).get().ok);
+    const std::size_t entry = probe.metrics().cache_bytes;
+    ASSERT_GT(entry, 0u);
+    const analysis_response big_alone = probe.submit(big).get();
+    ASSERT_TRUE(big_alone.ok);
+
+    // Room for two small entries, not for the big payload.
+    service_options options = probe_options;
+    options.payload_cache_bytes = 2 * entry + entry / 2;
+    ASSERT_GT(big_alone.payload.size(), options.payload_cache_bytes);
+    analysis_service service(options);
+    service.register_design("chip", c_oscillator_sg());
+
+    ASSERT_TRUE(service.submit(sweep("s0", rational(1, 10))).get().ok);
+    EXPECT_EQ(service.metrics().cache_entries, 1u);
+    EXPECT_EQ(service.metrics().cache_bytes, entry);
+
+    // Over budget: served byte-identical, twice, and never cached.
+    for (const char* id : {"big1", "big2"}) {
+        big.id = id;
+        const analysis_response served = service.submit(big).get();
+        ASSERT_TRUE(served.ok) << served.error.message;
+        EXPECT_EQ(served.payload, big_alone.payload);
+        EXPECT_EQ(service.metrics().cache_hits, 0u);
+        EXPECT_EQ(service.metrics().cache_entries, 1u);
+        EXPECT_EQ(service.metrics().cache_bytes, entry);
+    }
+
+    // Distinct small bodies: the byte count never passes the budget, and
+    // overflow clears instead of growing.
+    const rational factors[] = {rational(1, 5), rational(3, 10), rational(2, 5),
+                                rational(1, 2), rational(3, 5)};
+    std::size_t most_entries = 0;
+    for (std::size_t i = 0; i < std::size(factors); ++i) {
+        ASSERT_TRUE(service.submit(sweep("s" + std::to_string(i + 1), factors[i])).get().ok);
+        const service_metrics m = service.metrics();
+        EXPECT_LE(m.cache_bytes, options.payload_cache_bytes) << "after sweep " << i + 1;
+        EXPECT_GE(m.cache_entries, 1u);
+        most_entries = std::max(most_entries, m.cache_entries);
+    }
+    EXPECT_EQ(most_entries, 2u);
+
+    // The newest entry survived the clears and serves the next repeat.
+    const analysis_response repeat = service.submit(sweep("again", factors[4])).get();
+    ASSERT_TRUE(repeat.ok);
+    EXPECT_EQ(service.metrics().cache_hits, 1u);
+}
+
 TEST(Backpressure, CacheIsDisabledWhenConfiguredOff)
 {
     service_options options;
@@ -335,6 +402,9 @@ TEST(Backpressure, StatsPayloadReportsAdmissionCacheAndFleet)
     const json_value* cache = doc.find("cache");
     ASSERT_NE(cache, nullptr);
     EXPECT_EQ(cache->find("hits")->text, "1");
+    EXPECT_EQ(cache->find("entries")->text, "1"); // x and y share one body
+    EXPECT_EQ(cache->find("bytes")->text, std::to_string(service.metrics().cache_bytes));
+    EXPECT_NE(cache->find("bytes")->text, "0");
 
     const json_value* fleet = doc.find("fleet");
     ASSERT_NE(fleet, nullptr);

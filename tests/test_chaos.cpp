@@ -209,6 +209,8 @@ TEST(Chaos, RollingRestartUnder64ClientLoadConverges)
     std::atomic<std::size_t> mismatches{0};
     std::atomic<std::uint64_t> sheds{0};
     std::atomic<std::uint64_t> reconnects{0};
+    std::atomic<std::size_t> warmed{0};
+    std::atomic<bool> released{false};
 
     std::vector<std::thread> threads;
     threads.reserve(clients);
@@ -229,6 +231,13 @@ TEST(Chaos, RollingRestartUnder64ClientLoadConverges)
                     ++failures;
                 else if (outcome.response.payload != expected)
                     ++mismatches;
+                if (r == 0) {
+                    // Connected and served once: hold the rest of the run
+                    // until the first restart's drain has begun.
+                    ++warmed;
+                    while (!released.load())
+                        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                }
             }
             sheds += cl.metrics().sheds_seen;
             reconnects += cl.metrics().reconnects;
@@ -236,13 +245,22 @@ TEST(Chaos, RollingRestartUnder64ClientLoadConverges)
     }
 
     // Two rolling-restart steps while the fleet of clients hammers away:
-    // graceful drain, instance replaced on the same port.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // graceful drain, instance replaced on the same port.  The first one
+    // starts only once every client is connected with requests left to
+    // send, and the clients resume as the drain begins: each one's next
+    // call meets either the draining instance (a structured shed) or its
+    // closed connection (a reconnect), however fast the server answers.
+    const bool fleet_connected = wait_until([&] { return warmed.load() == clients; },
+                                            std::chrono::milliseconds(30000));
+    harness.server().begin_drain();
+    released = true;
     harness.restart();
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // The second step lands once the replacement is taking requests.
+    (void)wait_until([&] { return harness.service().metrics().requests > 0; });
     harness.restart();
 
     for (std::thread& t : threads) t.join();
+    EXPECT_TRUE(fleet_connected);
 
     // Zero accepted requests lost, zero unexplained failures: the
     // retrying client converges to 100% across both restarts.

@@ -11,6 +11,8 @@
 //     lives and keeps serving;
 //   * oversized payloads — one structured error line, then disconnect
 //     (framing is unrecoverable), counted;
+//   * oversized responses — a line the write buffer could never hold is
+//     answered with one structured error instead, connection lives;
 //   * ordering — pipelined responses leave in request order even when
 //     the worker pool completes them out of order;
 //   * backpressure — the per-connection in-flight cap pauses reading
@@ -157,6 +159,40 @@ TEST(EventLoop, OversizedLineGetsErrorThenDisconnect)
     const auto metrics = harness.server().metrics();
     EXPECT_EQ(metrics.disconnects_oversized, 1u);
     EXPECT_EQ(metrics.connections_active, 0u);
+}
+
+TEST(EventLoop, ResponseOverTheWriteCapAnswersStructuredErrorAndConnectionSurvives)
+{
+    net::event_loop_options loop_options;
+    loop_options.limits.write_buffer_cap = 4096;
+    serve_harness harness(serve_harness::default_service_options(), loop_options);
+
+    script_client client(harness.port());
+    ASSERT_TRUE(client.connected());
+    analysis_request big = make_request(request_kind::montecarlo, "big");
+    big.options.samples = 64; // a ~10 KB response line
+    ASSERT_TRUE(client.send_line(request_line(big)));
+
+    const auto line = client.read_line();
+    ASSERT_TRUE(line.has_value());
+    const json_value err = response_doc(*line);
+    EXPECT_FALSE(response_ok(err));
+    EXPECT_EQ(response_id(err), "big");
+    ASSERT_EQ(response_error_code(err), "invalid_request");
+    const std::string message = err.find("error")->find("message")->text;
+    EXPECT_NE(message.find("write buffer cap of 4096 bytes"), std::string::npos) << message;
+    EXPECT_NE(message.find("response of "), std::string::npos) << message;
+
+    // The same connection keeps serving responses that fit.
+    ASSERT_TRUE(client.send_line(request_line(make_request(request_kind::analyze, "small"))));
+    const auto ok_line = client.read_line();
+    ASSERT_TRUE(ok_line.has_value());
+    EXPECT_TRUE(response_ok(response_doc(*ok_line)));
+    EXPECT_EQ(response_id(response_doc(*ok_line)), "small");
+
+    const auto metrics = harness.server().metrics();
+    EXPECT_EQ(metrics.disconnects_slow, 0u);
+    EXPECT_EQ(metrics.connections_active, 1u);
 }
 
 TEST(EventLoop, PipelinedResponsesKeepRequestOrder)
