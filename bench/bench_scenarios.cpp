@@ -16,9 +16,8 @@
 //
 // Every mode's per-scenario cycle times are compared bit for bit; any
 // mismatch fails the bench.  Two extra sections feed the JSON artifact:
-// a lane-width ablation (L = 1/4/8/16) and a corner-sweep comparison of
-// sparse delta rebinds vs. full (dense) rebinds, including the arcs
-// actually touched per corner scenario.
+// a lane-width ablation (L = 1/4/8/16) and a corner sweep through the
+// default lane path, checked field by field against lane_width = 1.
 //
 //   bench_scenarios [--events N] [--samples S] [--rounds R] [--serial]
 //                   [--json out.json]
@@ -242,51 +241,42 @@ int main(int argc, char** argv)
     }
     std::cout << "\n";
 
-    // --- corner sweep: sparse delta rebinds vs full (dense) rebinds ---------
+    // --- corner sweep: default lanes vs the scalar path ---------------------
     const std::vector<scenario> corners = corner_sweep_scenarios(sg);
     // Corner sweeps are about criticality attribution, so this section runs
     // with full outcomes — the witness-cycle fields compared below are
-    // populated, keeping the sparse-vs-dense differential meaningful.
-    scenario_batch_options sparse_run = lane_run;
-    sparse_run.with_witness = true;
-    sparse_run.delta = scenario_batch_options::delta_mode::sparse;
-    scenario_batch_options dense_run = sparse_run;
-    dense_run.delta = scenario_batch_options::delta_mode::dense;
+    // populated, keeping the lanes-vs-scalar differential meaningful.
+    scenario_batch_options corner_run = lane_run;
+    corner_run.with_witness = true;
+    corner_run.solver = cycle_time_solver::border_sweep;
+    scenario_batch_options corner_scalar_run = corner_run;
+    corner_scalar_run.lane_width = 1;
 
-    scenario_batch_result sparse_batch;
-    scenario_batch_result dense_batch;
-    double sparse_seconds = 0;
-    double dense_seconds = 0;
+    double corner_seconds = 0;
+    double corner_scalar_seconds = 0;
     for (int round = 0; round < std::max(1, rounds - 1); ++round) {
-        const auto sparse_start = clock_type::now();
-        sparse_batch = engine.run(corners, sparse_run);
-        const double ss = seconds_since(sparse_start);
-        if (round == 0 || ss < sparse_seconds) sparse_seconds = ss;
+        const auto corner_start = clock_type::now();
+        const scenario_batch_result lanes = engine.run(corners, corner_run);
+        const double cs = seconds_since(corner_start);
+        if (round == 0 || cs < corner_seconds) corner_seconds = cs;
 
-        const auto dense_start = clock_type::now();
-        dense_batch = engine.run(corners, dense_run);
-        const double ds = seconds_since(dense_start);
-        if (round == 0 || ds < dense_seconds) dense_seconds = ds;
+        const auto scalar_start = clock_type::now();
+        const scenario_batch_result scalar = engine.run(corners, corner_scalar_run);
+        const double ss = seconds_since(scalar_start);
+        if (round == 0 || ss < corner_scalar_seconds) corner_scalar_seconds = ss;
 
         for (std::size_t i = 0; i < corners.size(); ++i)
-            if (sparse_batch.outcomes[i].cycle_time != dense_batch.outcomes[i].cycle_time ||
-                sparse_batch.outcomes[i].critical_cycle !=
-                    dense_batch.outcomes[i].critical_cycle ||
-                sparse_batch.outcomes[i].critical_arcs !=
-                    dense_batch.outcomes[i].critical_arcs)
+            if (lanes.outcomes[i].cycle_time != scalar.outcomes[i].cycle_time ||
+                lanes.outcomes[i].critical_cycle != scalar.outcomes[i].critical_cycle ||
+                lanes.outcomes[i].critical_arcs != scalar.outcomes[i].critical_arcs)
                 ++mismatches;
     }
-    const double sparse_rate = static_cast<double>(corners.size()) / sparse_seconds;
-    const double dense_rate = static_cast<double>(corners.size()) / dense_seconds;
-    const double sparse_arcs_per_scenario =
-        sparse_batch.sparse_scenarios == 0
-            ? 0.0
-            : static_cast<double>(sparse_batch.sparse_arcs_touched) /
-                  static_cast<double>(sparse_batch.sparse_scenarios);
-    std::cout << "corner sweep : " << corners.size() << " corners, sparse " << sparse_rate
-              << "/s vs dense " << dense_rate << "/s (" << (sparse_rate / dense_rate)
-              << "x), " << sparse_arcs_per_scenario << " arcs touched/corner vs "
-              << static_cast<double>(sparse_batch.dense_sweep_arcs) << " dense\n";
+    const double corner_rate = static_cast<double>(corners.size()) / corner_seconds;
+    const double corner_scalar_rate =
+        static_cast<double>(corners.size()) / corner_scalar_seconds;
+    std::cout << "corner sweep : " << corners.size() << " corners, lanes " << corner_rate
+              << "/s vs scalar " << corner_scalar_rate << "/s ("
+              << (corner_rate / corner_scalar_rate) << "x)\n";
 
     reporter.record("events", static_cast<double>(sg.event_count()), "count");
     reporter.record("arcs", static_cast<double>(sg.arc_count()), "count");
@@ -303,11 +293,7 @@ int main(int argc, char** argv)
         reporter.record("lanes_" + std::to_string(width) + "_scenarios_per_second", rate,
                         "1/s");
     reporter.record("corner_scenarios", static_cast<double>(corners.size()), "count");
-    reporter.record("corner_sparse_per_second", sparse_rate, "1/s");
-    reporter.record("corner_dense_per_second", dense_rate, "1/s");
-    reporter.record("sparse_arcs_touched_per_corner", sparse_arcs_per_scenario, "count");
-    reporter.record("dense_sweep_arcs_per_scenario",
-                    static_cast<double>(sparse_batch.dense_sweep_arcs), "count");
+    reporter.record("corner_scenarios_per_second", corner_rate, "1/s");
     reporter.record("mismatches", static_cast<double>(mismatches), "count");
 
     if (mismatches != 0) {

@@ -18,7 +18,7 @@
 //
 // Every coalesced response is compared against its solo payload after
 // stripping the documented engine-accounting block (a merged run reports
-// the batch's physical lane/sparse counters); any byte difference — or any
+// the batch's physical lane counters); any byte difference — or any
 // failed request — counts as a mismatch and fails the bench.  Latency
 // quantiles come from the service's own dogfooded stats_accumulator.
 //

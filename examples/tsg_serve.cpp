@@ -10,9 +10,8 @@
 // The TCP transport is the single-threaded epoll event loop
 // (net/event_loop.h): non-blocking sockets, batched sends, bounded
 // per-connection buffers, admission control and slow-client/idle
-// disconnects.  --legacy-threads restores PR 7's thread-per-connection
-// loop (now on the hardened net::fd_streambuf, so a client hanging up
-// mid-response no longer SIGPIPEs the process).
+// disconnects.  Pipe mode serves stdin/stdout sequentially through
+// analysis_service::serve_stream.
 //
 // Usage:
 //   tsg_serve --pipe [options]            serve stdin/stdout (one client;
@@ -47,8 +46,10 @@
 //   --conn-rps X            per-connection request-rate limit in
 //                           requests/s; 0 disables (default)
 //   --conn-burst X          per-connection rate bucket capacity
-//   --legacy-threads        thread-per-connection transport instead of
-//                           the event loop
+//
+// Count flags (--port, --workers, --max-batch, ...) take plain decimal
+// digits: a sign, trailing characters or a port above 65535 is an error
+// naming the flag.
 //
 // Lifecycle: SIGTERM or SIGINT triggers a bounded graceful drain on the
 // event-loop transport — the daemon stops taking new work (structured
@@ -60,22 +61,17 @@
 //   {"api_version": 1, "kind": "sweep", "design": {"id": "osc"}}
 //   {"id": "", "ok": true, ...}
 #include <atomic>
+#include <charconv>
 #include <csignal>
-#include <cstring>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "core/service.h"
 #include "gen/oscillator.h"
 #include "net/event_loop.h"
-#include "net/fd_stream.h"
 #include "sg/sg_io.h"
 #include "util/error.h"
 
@@ -104,51 +100,17 @@ void install_drain_handlers()
     ::sigaction(SIGINT, &sa, nullptr);
 }
 
-void serve_connection(analysis_service& service, int fd)
+/// Parses the value of a count flag: plain decimal digits (no sign, no
+/// trailing characters) no larger than `max`.  The error names the flag.
+std::uint64_t parse_count(const std::string& flag, const std::string& text, std::uint64_t max)
 {
-    net::fd_streambuf buf(fd);
-    std::istream in(&buf);
-    std::ostream out(&buf);
-    service.serve_stream(in, out);
-    ::close(fd);
-}
-
-/// PR 7's transport, kept behind --legacy-threads: one blocking thread
-/// per connection over the iostream interface.
-int serve_threads(analysis_service& service, int port)
-{
-    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listener < 0) {
-        std::cerr << "error: socket: " << std::strerror(errno) << "\n";
-        return 1;
-    }
-    const int one = 1;
-    ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-        ::listen(listener, 16) < 0) {
-        std::cerr << "error: bind/listen on port " << port << ": "
-                  << std::strerror(errno) << "\n";
-        ::close(listener);
-        return 1;
-    }
-    std::cerr << "tsg_serve: listening on 127.0.0.1:" << port
-              << " (thread per connection)\n";
-
-    std::vector<std::thread> connections;
-    for (;;) {
-        const int fd = ::accept(listener, nullptr, nullptr);
-        if (fd < 0) break;
-        connections.emplace_back(
-            [&service, fd] { serve_connection(service, fd); });
-    }
-    for (std::thread& t : connections) t.join();
-    ::close(listener);
-    return 0;
+    std::uint64_t value = 0;
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    require(ec == std::errc{} && end == last && value <= max,
+            flag + " needs a whole number from 0 to " + std::to_string(max) + ", got '" +
+                text + "'");
+    return value;
 }
 
 } // namespace
@@ -156,8 +118,8 @@ int serve_threads(analysis_service& service, int port)
 int main(int argc, char** argv)
 {
     try {
-        // The legacy path writes through fd_streambuf, which uses plain
-        // write() on non-socket fds; keep the process alive either way.
+        // Pipe mode writes std::cout: a reader that closes the pipe must
+        // fail the stream (serve_stream then stops), not kill the process.
         std::signal(SIGPIPE, SIG_IGN);
 
         std::vector<std::string> args(argv + 1, argv + argc);
@@ -165,7 +127,6 @@ int main(int argc, char** argv)
         service_options options;
         net::event_loop_options loop_options;
         bool pipe = false;
-        bool legacy_threads = false;
         int port = -1;
         std::vector<std::pair<std::string, std::string>> designs; // name -> path
         std::vector<std::string> demos;
@@ -176,10 +137,15 @@ int main(int argc, char** argv)
                 require(i + 1 < args.size(), arg + " needs a value");
                 return args[++i];
             };
+            const auto count = [&](std::uint64_t max =
+                                       std::numeric_limits<std::uint64_t>::max()) {
+                return parse_count(arg, value(), max);
+            };
+            constexpr std::uint64_t int64_max = std::numeric_limits<std::int64_t>::max();
             if (arg == "--pipe") {
                 pipe = true;
             } else if (arg == "--port") {
-                port = std::stoi(value());
+                port = static_cast<int>(count(65535));
             } else if (arg == "--design") {
                 const std::string spec = value();
                 const std::size_t eq = spec.find('=');
@@ -189,31 +155,32 @@ int main(int argc, char** argv)
             } else if (arg == "--demo") {
                 demos.push_back(value());
             } else if (arg == "--workers") {
-                options.workers = static_cast<unsigned>(std::stoul(value()));
+                options.workers =
+                    static_cast<unsigned>(count(std::numeric_limits<unsigned>::max()));
             } else if (arg == "--no-coalesce") {
                 options.coalesce = false;
             } else if (arg == "--max-batch") {
-                options.max_coalesce_scenarios = std::stoull(value());
+                options.max_coalesce_scenarios = count();
             } else if (arg == "--window-us") {
-                options.coalesce_window = std::chrono::microseconds(std::stoll(value()));
+                options.coalesce_window = std::chrono::microseconds(count(int64_max));
             } else if (arg == "--max-versions") {
-                options.max_versions_per_design = std::stoull(value());
+                options.max_versions_per_design = count();
             } else if (arg == "--queue-depth") {
-                options.max_queue_depth = std::stoull(value());
+                options.max_queue_depth = count();
             } else if (arg == "--no-cache") {
                 options.payload_cache = false;
             } else if (arg == "--max-conn") {
-                loop_options.max_connections = std::stoull(value());
+                loop_options.max_connections = count();
             } else if (arg == "--max-inflight") {
-                loop_options.limits.max_inflight = std::stoull(value());
+                loop_options.limits.max_inflight = count();
             } else if (arg == "--max-line") {
-                loop_options.limits.max_line_bytes = std::stoull(value());
+                loop_options.limits.max_line_bytes = count();
             } else if (arg == "--write-cap") {
-                loop_options.limits.write_buffer_cap = std::stoull(value());
+                loop_options.limits.write_buffer_cap = count();
             } else if (arg == "--idle-timeout-ms") {
-                loop_options.idle_timeout = std::chrono::milliseconds(std::stoll(value()));
+                loop_options.idle_timeout = std::chrono::milliseconds(count(int64_max));
             } else if (arg == "--drain-timeout-ms") {
-                loop_options.drain_timeout = std::chrono::milliseconds(std::stoll(value()));
+                loop_options.drain_timeout = std::chrono::milliseconds(count(int64_max));
             } else if (arg == "--quota-rps") {
                 options.design_quota_rps = std::stod(value());
             } else if (arg == "--quota-burst") {
@@ -222,8 +189,6 @@ int main(int argc, char** argv)
                 loop_options.limits.max_requests_per_second = std::stod(value());
             } else if (arg == "--conn-burst") {
                 loop_options.limits.rate_burst = std::stod(value());
-            } else if (arg == "--legacy-threads") {
-                legacy_threads = true;
             } else {
                 std::cerr << "error: unrecognized argument '" << arg << "'\n";
                 return 1;
@@ -247,8 +212,6 @@ int main(int argc, char** argv)
             service.serve_stream(std::cin, std::cout);
             return 0;
         }
-        if (legacy_threads) return serve_threads(service, port);
-
         loop_options.port = static_cast<std::uint16_t>(port);
         net::event_loop_server server(service, loop_options);
         g_server.store(&server, std::memory_order_release);

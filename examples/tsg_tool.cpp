@@ -18,7 +18,7 @@
 //                                 critical cycle, or PERT makespan);
 //                                 JSON on stdout
 //   tsg_tool sweep [file] [--factor N/D] [--solver auto|border|howard]
-//                  [--lanes 0|1|2|4|8|16] [--delta auto|dense|sparse]
+//                  [--lanes 0|1|2|4|8|16]
 //                                 per-arc +/- corner batch on the scenario
 //                                 engine; JSON on stdout
 //   tsg_tool montecarlo [file] [--samples N] [--seed S] [--spread N/D]
@@ -175,14 +175,6 @@ cycle_time_solver parse_solver(const std::string& name)
     throw error("--solver: unknown solver '" + name + "' (use auto, border or howard)");
 }
 
-scenario_batch_options::delta_mode parse_delta(const std::string& name)
-{
-    if (name == "auto") return scenario_batch_options::delta_mode::auto_detect;
-    if (name == "dense") return scenario_batch_options::delta_mode::dense;
-    if (name == "sparse") return scenario_batch_options::delta_mode::sparse;
-    throw error("--delta: unknown mode '" + name + "' (use auto, dense or sparse)");
-}
-
 /// Everything consumed except (at most) the model path — a misspelled or
 /// value-less flag must not silently fall back to defaults.
 bool reject_unrecognized(const std::string& command, const std::vector<std::string>& args)
@@ -228,7 +220,6 @@ int run_batch_command(const std::string& command, std::vector<std::string> args)
     o.seed = std::stoull(option_value(args, "--seed", "1"));
     o.solver = parse_solver(option_value(args, "--solver", "auto"));
     o.lane_width = static_cast<unsigned>(std::stoul(option_value(args, "--lanes", "0")));
-    o.delta = parse_delta(option_value(args, "--delta", "auto"));
     // The statistics flags only exist on the stats-capable subcommands, so
     // e.g. `sweep --adaptive` fails the unrecognized-argument check below.
     // An explicit --epsilon or --quantile implies the adaptive statistics

@@ -105,24 +105,6 @@ optimize_mode parse_mode_name(const std::string& name)
     bad("unknown mode '" + name + "' (use deterministic or statistical)");
 }
 
-const char* delta_spelling(scenario_batch_options::delta_mode delta)
-{
-    switch (delta) {
-    case scenario_batch_options::delta_mode::auto_detect: return "auto";
-    case scenario_batch_options::delta_mode::dense: return "dense";
-    case scenario_batch_options::delta_mode::sparse: return "sparse";
-    }
-    return "auto";
-}
-
-scenario_batch_options::delta_mode parse_delta_name(const std::string& name)
-{
-    if (name == "auto") return scenario_batch_options::delta_mode::auto_detect;
-    if (name == "dense") return scenario_batch_options::delta_mode::dense;
-    if (name == "sparse") return scenario_batch_options::delta_mode::sparse;
-    bad("unknown delta mode '" + name + "' (use auto, dense or sparse)");
-}
-
 design_ref parse_design(const json_value& doc)
 {
     if (doc.k != json_value::kind::object_v) bad("\"design\" must be an object");
@@ -156,8 +138,6 @@ request_options parse_options(const json_value& doc)
             options.max_threads = static_cast<unsigned>(field_u64(value, key));
         else if (key == "lane_width")
             options.lane_width = static_cast<unsigned>(field_u64(value, key));
-        else if (key == "delta")
-            options.delta = parse_delta_name(field_string(value, key));
         else if (key == "with_slack")
             options.with_slack = field_bool(value, key);
         else if (key == "with_witness")
@@ -250,7 +230,6 @@ scenario_batch_options request_options::to_batch_options() const
     batch.with_witness = with_witness;
     batch.solver = solver;
     batch.lane_width = lane_width;
-    batch.delta = delta;
     return batch;
 }
 
@@ -399,7 +378,6 @@ json_value analysis_request_json(const analysis_request& request)
     options.set("solver", json_value::string(solver_spelling(o.solver)));
     options.set("max_threads", json_value::number(std::uint64_t{o.max_threads}));
     options.set("lane_width", json_value::number(std::uint64_t{o.lane_width}));
-    options.set("delta", json_value::string(delta_spelling(o.delta)));
     options.set("with_slack", json_value::boolean_value(o.with_slack));
     options.set("with_witness", json_value::boolean_value(o.with_witness));
     options.set("factor", json_value::string(o.factor.str()));
@@ -554,10 +532,7 @@ std::string scenario_batch_json(const std::string& command, const std::string& s
     os << "    \"engine\": {\"lane_groups\": " << batch.lane_groups
        << ", \"lane_scenarios\": " << batch.lane_scenarios
        << ", \"lane_evictions\": " << batch.lane_evictions
-       << ", \"scalar_scenarios\": " << batch.scalar_scenarios
-       << ", \"sparse_scenarios\": " << batch.sparse_scenarios
-       << ", \"sparse_arcs_touched\": " << batch.sparse_arcs_touched
-       << ", \"dense_sweep_arcs\": " << batch.dense_sweep_arcs << "},\n";
+       << ", \"scalar_scenarios\": " << batch.scalar_scenarios << "},\n";
     os << "    \"criticality_count\": ";
     append_number_array(os, batch.criticality_count);
     os << ",\n";

@@ -1,31 +1,14 @@
 #include "core/lane_domain.h"
 
-#include <algorithm>
 #include <array>
-#include <limits>
 
 #include "util/simd.h"
 
 namespace tsg {
 
-namespace {
-
-/// Mirrors the period-budget cap of compute_fixed_point_domain
-/// (core/compiled_graph.cpp) for the delta reuse check.
-constexpr std::uint32_t max_period_limit = 1u << 20;
-
-} // namespace
-
 void lane_domain::rebind_lanes(const compiled_graph& base,
                                std::span<const std::vector<rational>* const> lanes,
                                std::uint32_t periods)
-{
-    rebind_lanes(base, lanes, periods, std::span<const arc_id>{});
-}
-
-void lane_domain::rebind_lanes(const compiled_graph& base,
-                               std::span<const std::vector<rational>* const> lanes,
-                               std::uint32_t periods, std::span<const arc_id> delta_hint)
 {
     const std::size_t source_arcs = base.delay().size();
     const bool core = base.has_core();
@@ -44,77 +27,21 @@ void lane_domain::rebind_lanes(const compiled_graph& base,
 
     width_ = static_cast<unsigned>(lanes.size());
     require(width_ >= 1 && width_ <= 16, "lane_domain: lane count must be 1..16");
-    require(delta_hint.empty() || delta_hint.size() == lanes.size(),
-            "lane_domain: delta hint count does not match the lane count");
     evicted_count_ = 0;
     scale_.assign(width_, 0);
     evicted_.assign(width_, 0);
     delay_.resize(arcs_ * width_);
     scratch_.resize(width_);
 
-    // Delta reuse context, materialized lazily on the first hinted lane:
-    // the base snapshot's scaled-delay mass bounds every hinted lane's
-    // period budget (one arc's mass swapped per lane).
-    const std::int64_t base_scale = base.scale();
-    const std::int64_t* base_scaled =
-        base.fixed_point() ? base.scaled_delay().data() : nullptr;
-    const int128 budget = std::numeric_limits<std::int64_t>::max() / 4;
-    int128 base_mass = 0;
-    bool base_mass_ready = false;
-
     // Per-lane fixed-point domains first (same scale/overflow/period
     // criteria as the scalar rebind: a lane is evicted exactly when
     // compiled_graph::rebind would degrade the assignment to rational
     // arithmetic for this sweep horizon)...
     std::array<const std::int64_t*, 16> lane_scaled{};
-    std::array<arc_id, 16> dirty_arc{};
-    std::array<std::int64_t, 16> dirty_value{};
-    dirty_arc.fill(invalid_arc);
-    bool any_dirty = false;
     for (unsigned l = 0; l < width_; ++l) {
         const std::vector<rational>& d = *lanes[l];
         require(d.size() == source_arcs,
                 "lane_domain: delay count does not match the arc count");
-
-        const arc_id hint = delta_hint.empty() ? invalid_arc : delta_hint[l];
-        if (hint != invalid_arc && base_scaled != nullptr) {
-            require(hint < source_arcs, "lane_domain: delta hint out of range");
-#ifndef NDEBUG
-            for (std::size_t a = 0; a < source_arcs; ++a)
-                ensure(a == hint || d[a] == base.delay()[a],
-                       "lane_domain: delta hint broken — lane differs off the hinted arc");
-#endif
-            // Reuse base's scale S for the whole lane: valid whenever the
-            // dirty arc's value lives at S (den | S, no scaled overflow)
-            // and the swapped mass keeps the period budget.  S is then a
-            // multiple of the lane's minimal LCM — analyses are
-            // scale-invariant, so results match the dense rebind bit for
-            // bit; when any condition fails the dense path below decides
-            // (including eviction) exactly like the scalar rebind.
-            const rational& v = d[hint];
-            require(!v.is_negative(), "lane_domain: negative delay");
-            if (base_scale % v.den() == 0) {
-                const std::int64_t q = base_scale / v.den();
-                if (v.num() <= std::numeric_limits<std::int64_t>::max() / q) {
-                    const std::int64_t sv = v.num() * q;
-                    if (!base_mass_ready) {
-                        for (const std::int64_t w : base.scaled_delay()) base_mass += w;
-                        base_mass_ready = true;
-                    }
-                    const int128 mass = base_mass - base_scaled[hint] + sv;
-                    const int128 limit = mass == 0 ? max_period_limit : budget / mass;
-                    if (limit >= 2 && periods < std::min<int128>(limit, max_period_limit)) {
-                        scale_[l] = base_scale;
-                        lane_scaled[l] = base_scaled;
-                        dirty_arc[l] = hint;
-                        dirty_value[l] = sv;
-                        any_dirty = true;
-                        rows_reused_ += arcs_;
-                        continue;
-                    }
-                }
-            }
-        }
 
         // The domain scan folds the negativity check in; a disabled domain
         // may have stopped scanning early, so re-check explicitly there.
@@ -132,7 +59,6 @@ void lane_domain::rebind_lanes(const compiled_graph& base,
         }
         scale_[l] = scratch_[l].scale;
         lane_scaled[l] = scratch_[l].scaled.data();
-        rows_repacked_ += arcs_;
     }
 
     // ...then one arc-major interleave pass: each SoA cache line (the W
@@ -140,40 +66,11 @@ void lane_domain::rebind_lanes(const compiled_graph& base,
     // sequential source streams — instead of W strided passes that would
     // re-touch every line W times.
     std::int64_t* TSG_RESTRICT out = delay_.data();
-    const std::vector<arc_id>* orig = core ? arc_original : nullptr;
     for (std::size_t a = 0; a < arcs_; ++a) {
-        const std::size_t src = orig ? (*orig)[a] : a;
+        const std::size_t src = arc_original ? (*arc_original)[a] : a;
         for (unsigned l = 0; l < width_; ++l) {
             const std::int64_t* s = lane_scaled[l];
             out[a * width_ + l] = s ? s[src] : 0;
-        }
-    }
-
-    // Dirty-row fix for hinted lanes: the interleave streamed base's
-    // values everywhere, so only the hinted arc's slot needs its fresh
-    // scaled value — O(1) per lane via the cached inverse projection.  A
-    // hinted arc outside the core has no packed row and nothing to fix.
-    if (any_dirty) {
-        if (core) {
-            // Cache the inverse projection on (identity, structure
-            // version): the incremental edit layer patches cores in place,
-            // so the address alone cannot key it.
-            const void* id = static_cast<const void*>(arc_original);
-            if (inverse_of_ != id || inverse_version_ != base.structure_version()) {
-                core_row_.assign(source_arcs, invalid_arc);
-                for (std::size_t a = 0; a < arcs_; ++a)
-                    core_row_[(*arc_original)[a]] = static_cast<arc_id>(a);
-                inverse_of_ = id;
-                inverse_version_ = base.structure_version();
-            }
-        }
-        for (unsigned l = 0; l < width_; ++l) {
-            if (dirty_arc[l] == invalid_arc) continue;
-            const arc_id row = core ? core_row_[dirty_arc[l]] : dirty_arc[l];
-            if (row == invalid_arc) continue;
-            delay_[std::size_t{row} * width_ + l] = dirty_value[l];
-            --rows_reused_;
-            ++rows_repacked_;
         }
     }
 }

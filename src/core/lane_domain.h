@@ -103,24 +103,6 @@ public:
                       std::span<const std::vector<rational>* const> lanes,
                       std::uint32_t periods);
 
-    /// Delta-aware packing: `delta_hint[lane]`, when not invalid_arc,
-    /// promises that the lane's assignment equals base's bound delays at
-    /// every arc except that one (the scenario engine's delta_arc
-    /// contract, validated in debug builds).  A hinted lane skips the
-    /// per-lane LCM scan and rational rescale entirely: it adopts base's
-    /// fixed-point scale, its rows are streamed from base's already-scaled
-    /// delays, and only the dirty arc's row is recomputed.  Results stay
-    /// bit-identical to the dense rebind — the reused scale is a multiple
-    /// of the lane's minimal LCM and every analysis is scale-invariant —
-    /// and so does the evicted set: when the reuse preconditions fail
-    /// (base not in fixed point, denominator not dividing base's scale,
-    /// scaled value or period budget overflowing) the lane falls back to
-    /// the dense path below, which decides eviction exactly like the
-    /// scalar rebind.  An empty `delta_hint` means all-dense.
-    void rebind_lanes(const compiled_graph& base,
-                      std::span<const std::vector<rational>* const> lanes,
-                      std::uint32_t periods, std::span<const arc_id> delta_hint);
-
     /// Convenience overload for contiguous assignments.
     void rebind_lanes(const compiled_graph& base, std::span<const std::vector<rational>> lanes,
                       std::uint32_t periods);
@@ -143,13 +125,6 @@ public:
     /// The SoA delay array, delay[arc * width() + lane].
     [[nodiscard]] const std::int64_t* delay() const noexcept { return delay_.data(); }
 
-    // Cumulative packing accounting (since construction): rows whose
-    // scaled values were lifted straight from the base snapshot via a
-    // delta hint vs rows that went through the rational rescale.  The
-    // scenario engine surfaces these per batch.
-    [[nodiscard]] std::uint64_t rows_reused() const noexcept { return rows_reused_; }
-    [[nodiscard]] std::uint64_t rows_repacked() const noexcept { return rows_repacked_; }
-
 private:
     unsigned width_ = 0;
     std::size_t arcs_ = 0;
@@ -158,16 +133,6 @@ private:
     std::vector<std::uint8_t> evicted_;
     std::vector<std::int64_t> delay_;
     std::vector<fixed_point_domain> scratch_; ///< per-lane domains, storage reused
-    std::uint64_t rows_reused_ = 0;
-    std::uint64_t rows_repacked_ = 0;
-
-    // Inverse core projection (original arc -> core arc), built lazily for
-    // the dirty-row fix and cached on (identity, structure version) — the
-    // incremental edit layer patches compiled cores in place, so the
-    // address alone cannot key the cache.
-    const void* inverse_of_ = nullptr;
-    std::uint64_t inverse_version_ = 0;
-    std::vector<arc_id> core_row_;
 };
 
 } // namespace tsg

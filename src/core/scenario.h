@@ -16,20 +16,14 @@
 // each scenario against a freshly compiled graph, in any thread
 // configuration.
 //
-// Two batch fast paths sit on top of the rebind (both bit-identical to the
-// scalar loop):
-//   * lane batching — scenarios are chunked into groups of W lanes whose
-//     scaled delays are packed arc-major (core/lane_domain.h); the border
-//     sweeps / PERT / slack then update all W lanes per arc in SIMD-friendly
-//     structure-of-arrays loops.  A lane that cannot live in the int64
-//     domain is evicted to the exact rational path alone; batch tails run
-//     through the scalar epilogue.
-//   * sparse delta rebinds — when every scenario perturbs one arc
-//     (scenario::delta_arc, set by corner_sweep_scenarios), the engine
-//     solves the nominal base once, then per scenario re-propagates only
-//     the perturbed arc's forward cone through the token-free order
-//     instead of full sweeps (sub-linear arcs touched per corner on
-//     typical graphs; see scenario_batch_result::sparse_arcs_touched).
+// Lane batching sits on top of the rebind (bit-identical to the scalar
+// loop): scenarios are chunked into groups of W lanes whose scaled delays
+// are packed arc-major (core/lane_domain.h); the border sweeps / PERT /
+// slack then update all W lanes per arc in SIMD-friendly
+// structure-of-arrays loops.  A lane that cannot live in the int64 domain
+// is evicted to the exact rational path alone; batch tails run through the
+// scalar epilogue.  Every scenario source — corner sweeps included — takes
+// this one path.
 //
 // Scenario sources:
 //   * corner_sweep_scenarios — per-arc +/- corners around the nominal
@@ -69,15 +63,6 @@ namespace tsg {
 struct scenario {
     std::string label;
     std::vector<rational> delay;
-
-    /// Sparse-delta promise: when set, `delay` differs from the *base*
-    /// snapshot's nominal assignment at this one arc only.  Generators
-    /// that perturb a single arc (corner_sweep_scenarios) set it, which
-    /// lets the engine re-propagate only the perturbed arc's forward cone
-    /// instead of running full sweeps.  The promise is validated in debug
-    /// builds; release builds trust it (a wrong flag yields wrong results
-    /// for that scenario, never memory errors).
-    arc_id delta_arc = invalid_arc;
 };
 
 /// Per-scenario analysis summary.  For cyclic graphs `cycle_time` is the
@@ -148,24 +133,12 @@ struct scenario_batch_result {
     /// rational path (per-lane overflow fallback).
     std::size_t lane_evictions = 0;
 
-    /// SoA delay rows lifted straight from the base snapshot via
-    /// delta_arc hints vs rows that went through the per-lane rational
-    /// rescale — the dirty-row packing win for single-arc batches.
-    std::uint64_t lane_rows_reused = 0;
-    std::uint64_t lane_rows_repacked = 0;
-
     /// Scenarios evaluated one-at-a-time (lane-group tails, evictions,
     /// batches below the lane width, forced scalar runs).
     std::size_t scalar_scenarios = 0;
 
-    /// Scenarios evaluated through sparse delta rebinds, and the total
-    /// arc relaxations their cone re-propagation performed.  A dense
-    /// border sweep relaxes dense_sweep_arcs arcs per scenario — the
-    /// sparse win is sparse_arcs_touched / sparse_scenarios being far
-    /// below it.
+    /// Always 0; kept only because perfbench/probe.cpp still reads it.
     std::size_t sparse_scenarios = 0;
-    std::uint64_t sparse_arcs_touched = 0;
-    std::uint64_t dense_sweep_arcs = 0;
 };
 
 struct scenario_batch_options {
@@ -203,16 +176,6 @@ struct scenario_batch_options {
     /// runs through the scalar epilogue.  Results are bit-identical for
     /// every setting.
     unsigned lane_width = 0;
-
-    /// Sparse delta rebinds for single-arc-perturbation batches.
-    enum class delta_mode : std::uint8_t {
-        /// Use the sparse path when every scenario carries delta_arc and
-        /// the batch fits a common fixed-point domain; dense otherwise.
-        auto_detect,
-        dense,  ///< always full rebinds
-        sparse, ///< require the sparse path (throws when ineligible)
-    };
-    delta_mode delta = delta_mode::auto_detect;
 };
 
 // --- structural what-ifs -----------------------------------------------------
@@ -286,7 +249,7 @@ public:
     /// an unaccepted outcome carrying the rejection message; the engine is
     /// rolled back and later scenarios are unaffected.  Honors with_slack /
     /// with_witness / solver / max_threads from `options` (the delay-batch
-    /// knobs — lane_width, delta — do not apply).
+    /// knob lane_width does not apply).
     [[nodiscard]] structural_batch_result run_structural(
         const std::vector<structural_scenario>& scenarios,
         const scenario_batch_options& options = {}) const;

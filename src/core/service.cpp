@@ -94,24 +94,19 @@ namespace {
 bool engine_compatible(const request_options& a, const request_options& b)
 {
     return a.solver == b.solver && a.max_threads == b.max_threads &&
-           a.lane_width == b.lane_width && a.delta == b.delta &&
-           a.with_slack == b.with_slack && a.with_witness == b.with_witness;
+           a.lane_width == b.lane_width && a.with_slack == b.with_slack &&
+           a.with_witness == b.with_witness;
 }
 
 /// A sliced response reports the merged run's physical engine accounting
-/// (the lane/sparse counters describe how the batch actually executed);
+/// (the lane counters describe how the batch actually executed);
 /// every per-request aggregate is re-reduced from the outcome slice.
 void copy_engine_accounting(const scenario_batch_result& from, scenario_batch_result& to)
 {
     to.lane_groups = from.lane_groups;
     to.lane_scenarios = from.lane_scenarios;
     to.lane_evictions = from.lane_evictions;
-    to.lane_rows_reused = from.lane_rows_reused;
-    to.lane_rows_repacked = from.lane_rows_repacked;
     to.scalar_scenarios = from.scalar_scenarios;
-    to.sparse_scenarios = from.sparse_scenarios;
-    to.sparse_arcs_touched = from.sparse_arcs_touched;
-    to.dense_sweep_arcs = from.dense_sweep_arcs;
 }
 
 bool coalescable(const analysis_request& request)
@@ -183,6 +178,12 @@ std::uint64_t analysis_service::register_design(const std::string& id,
     }
     std::lock_guard<std::mutex> edit_lock(entry->edit_mutex);
     return commit_version(*entry, std::make_shared<signal_graph>(sg));
+}
+
+bool analysis_service::registered(const std::string& id) const
+{
+    std::lock_guard<std::mutex> lk(registry_mutex_);
+    return designs_.count(id) != 0;
 }
 
 std::shared_ptr<analysis_service::design_entry> analysis_service::entry_of(
@@ -314,13 +315,18 @@ std::vector<scenario> analysis_service::scenarios_for(design_version& version,
 std::uint64_t analysis_service::take_quota_token(const std::string& id)
 {
     const double rate = options_.design_quota_rps;
-    if (rate <= 0.0 || id.empty()) return 0;
+    if (rate <= 0.0) return 0;
     const double burst = options_.design_quota_burst > 0.0
                              ? options_.design_quota_burst
                              : std::max(1.0, std::ceil(rate));
     const auto now = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lk(quota_mutex_);
-    token_bucket& bucket = quotas_[id];
+    auto it = quotas_.find(id);
+    if (it == quotas_.end()) {
+        if (!registered(id)) return 0; // unknown ids answer unknown_design
+        it = quotas_.emplace(id, token_bucket{}).first;
+    }
+    token_bucket& bucket = it->second;
     if (!bucket.primed) {
         bucket.tokens = burst;
         bucket.primed = true;

@@ -25,7 +25,7 @@
 //     reduce_scenario_outcomes(), so every aggregate (min/max/mean,
 //     criticality counts, critical-cycle table, fallback tally) is
 //     bit-identical to running that request alone.  Only the engine
-//     accounting block (lane groups, sparse counters) reports the merged
+//     accounting block (lane groups, scalar tail) reports the merged
 //     batch's physical execution — the one documented difference.
 //
 // Serving metrics dogfood the statistical layer: per-request latencies
@@ -46,10 +46,11 @@
 // Transport is the caller's problem: submit() is the in-process API
 // (thread-safe, returns a future), submit_async() the callback flavour
 // the epoll transport (net/event_loop.h) drives, and serve_stream()
-// speaks newline-delimited JSON over any iostream pair (the pipe mode
-// tests and examples/tsg_serve.cpp's legacy socket loop both sit on
-// it).  serve_stream handles one request per line in order, so a stream
-// replay is byte-identical to running the tool once per request.
+// speaks newline-delimited JSON over any iostream pair (tsg_serve's
+// --pipe mode and the tests sit on it).  serve_stream handles one request
+// per line in order, so a stream replay is byte-identical to running the
+// tool once per request.  It stops at the first response its output
+// stream refuses: a reader that went away receives nothing more.
 #ifndef TSG_CORE_SERVICE_H
 #define TSG_CORE_SERVICE_H
 
@@ -240,7 +241,8 @@ public:
     /// Newline-delimited JSON transport: one request document per input
     /// line, one response line flushed per request, in order.  Blank
     /// lines are skipped; malformed lines produce a structured-error
-    /// response line and the stream continues.
+    /// response line and the stream continues.  Returns once `in` is
+    /// exhausted or `out` fails (no further requests are executed).
     void serve_stream(std::istream& in, std::ostream& out);
 
     [[nodiscard]] service_metrics metrics() const;
@@ -293,13 +295,24 @@ private:
     [[nodiscard]] std::optional<api_error> admit(pending job);
     [[nodiscard]] std::chrono::microseconds coalesce_wait() const;
 
-    /// Applies `f` to the named design's fleet counters (no-op on an
-    /// empty id — requests that never resolved a design).
+    /// True when `id` names a registered design.  Per-design state (fleet
+    /// counters, quota buckets) exists only for these, so requests naming
+    /// arbitrary ids cannot grow it.  Takes registry_mutex_; callers may
+    /// hold fleet_mutex_ or quota_mutex_, which always lock first.
+    [[nodiscard]] bool registered(const std::string& id) const;
+
+    /// Applies `f` to the named design's fleet counters (no-op unless the
+    /// design is registered).  The registry is consulted only for a
+    /// design's first row, so the request path takes no registry lock.
     template <typename F> void bump_fleet(const std::string& design_id, F&& f)
     {
-        if (design_id.empty()) return;
         std::lock_guard<std::mutex> lk(fleet_mutex_);
-        f(fleet_[design_id]);
+        auto it = fleet_.find(design_id);
+        if (it == fleet_.end()) {
+            if (!registered(design_id)) return;
+            it = fleet_.emplace(design_id, design_traffic{}).first;
+        }
+        f(it->second);
     }
 
     [[nodiscard]] std::shared_ptr<design_version> resolve(const design_ref& ref);
@@ -363,8 +376,9 @@ private:
         std::chrono::steady_clock::time_point last{};
         bool primed = false;
     };
-    /// Takes one token from `id`'s bucket.  Returns 0 on admission, else
-    /// the suggested retry delay in milliseconds (>= 1).
+    /// Takes one token from `id`'s bucket.  Returns 0 on admission (always
+    /// for unregistered ids, which resolve to unknown_design), else the
+    /// suggested retry delay in milliseconds (>= 1).
     [[nodiscard]] std::uint64_t take_quota_token(const std::string& id);
     mutable std::mutex quota_mutex_;
     std::map<std::string, token_bucket> quotas_;

@@ -65,7 +65,6 @@ TEST(ApiCodec, LoadedOptionsRoundTrip)
     request.options.solver = cycle_time_solver::howard;
     request.options.max_threads = 3;
     request.options.lane_width = 16;
-    request.options.delta = scenario_batch_options::delta_mode::sparse;
     request.options.with_slack = false;
     request.options.with_witness = false;
     request.options.factor = rational(3, 7);
@@ -105,10 +104,6 @@ TEST(ApiCodec, FuzzedRequestsRoundTrip)
     const cycle_time_solver solvers[] = {cycle_time_solver::auto_select,
                                          cycle_time_solver::border_sweep,
                                          cycle_time_solver::howard};
-    const scenario_batch_options::delta_mode deltas[] = {
-        scenario_batch_options::delta_mode::auto_detect,
-        scenario_batch_options::delta_mode::dense,
-        scenario_batch_options::delta_mode::sparse};
     const request_kind kinds[] = {request_kind::analyze,  request_kind::sweep,
                                   request_kind::montecarlo, request_kind::criticality,
                                   request_kind::optimize, request_kind::report_topk,
@@ -127,7 +122,6 @@ TEST(ApiCodec, FuzzedRequestsRoundTrip)
         o.solver = solvers[rng.index(std::size(solvers))];
         o.max_threads = static_cast<unsigned>(rng.uniform(0, 8));
         o.lane_width = static_cast<unsigned>(rng.chance(0.5) ? 0 : 1 << rng.uniform(1, 4));
-        o.delta = deltas[rng.index(std::size(deltas))];
         o.with_slack = rng.chance(0.5);
         o.with_witness = rng.chance(0.5);
         o.factor = rational(rng.uniform(1, 99), rng.uniform(1, 99));
@@ -176,6 +170,8 @@ TEST(ApiCodec, MalformedDocumentsRejectWithStableCodes)
     expect_rejected(R"({"api_version": 1, "kind": "dance"})", "bad_request");
     expect_rejected(R"({"api_version": 1, "kind": "sweep", "nope": 1})", "bad_request");
     expect_rejected(R"({"api_version": 1, "kind": "sweep", "options": {"bogus": 1}})",
+                    "bad_request");
+    expect_rejected(R"({"api_version": 1, "kind": "sweep", "options": {"delta": "dense"}})",
                     "bad_request");
     expect_rejected(R"({"api_version": 1, "kind": "sweep", "design": {"x": "y"}})",
                     "bad_request");

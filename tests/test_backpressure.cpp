@@ -16,7 +16,8 @@
 //   * the adaptive coalescing window scales from the arrival-rate EWMA:
 //     zero for sparse traffic, bounded multiples for dense bursts;
 //   * the stats payload exposes the admission, cache and per-design
-//     fleet blocks.
+//     fleet blocks, and requests naming unknown design ids leave no
+//     per-design state behind (fleet rows, quota buckets).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -412,6 +413,48 @@ TEST(Backpressure, StatsPayloadReportsAdmissionCacheAndFleet)
     ASSERT_NE(chip, nullptr);
     EXPECT_EQ(chip->find("shed")->text, "4");
     EXPECT_EQ(chip->find("cache_hits")->text, "1");
+}
+
+TEST(Backpressure, UnknownDesignIdsLeaveNoPerDesignState)
+{
+    // Quotas off, then a tight quota: per-design buckets exist only for
+    // registered designs, so no unknown id is ever rate limited either.
+    for (const double quota_rps : {0.0, 1.0}) {
+        SCOPED_TRACE(quota_rps > 0.0 ? "quota on" : "quota off");
+        service_options options;
+        options.workers = 1;
+        options.design_quota_rps = quota_rps;
+        analysis_service service(options);
+        service.register_design("chip", c_oscillator_sg());
+        ASSERT_TRUE(service.execute(make_request(request_kind::analyze, "known")).ok);
+
+        constexpr int flood = 200;
+        for (int i = 0; i < flood; ++i) {
+            const analysis_response response = service.execute(make_request(
+                request_kind::analyze, "u" + std::to_string(i), "bogus" + std::to_string(i)));
+            ASSERT_FALSE(response.ok);
+            EXPECT_EQ(response.error.code, "unknown_design") << response.error.message;
+        }
+
+        // The flood still counts globally...
+        const service_metrics metrics = service.metrics();
+        EXPECT_EQ(metrics.requests, static_cast<std::uint64_t>(flood + 1));
+        EXPECT_EQ(metrics.failures, static_cast<std::uint64_t>(flood));
+        EXPECT_EQ(metrics.rate_limited, 0u);
+        // ...but only the registered design has a fleet row.
+        ASSERT_EQ(metrics.fleet.size(), 1u);
+        EXPECT_EQ(metrics.fleet[0].first, "chip");
+        EXPECT_EQ(metrics.fleet[0].second.requests, 1u);
+
+        const analysis_response stats =
+            service.execute(make_request(request_kind::stats, "stats", ""));
+        ASSERT_TRUE(stats.ok) << stats.error.message;
+        const json_value doc = json_parse(stats.payload, "stats");
+        const json_value* fleet = doc.find("fleet");
+        ASSERT_NE(fleet, nullptr);
+        ASSERT_EQ(fleet->members.size(), 1u);
+        EXPECT_EQ(fleet->members[0].first, "chip");
+    }
 }
 
 } // namespace

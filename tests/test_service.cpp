@@ -9,8 +9,9 @@
 //     receive their solo payloads bit for bit;
 //   * versioning — edits commit immutable snapshots, pinned versions stay
 //     addressable, LRU eviction trims chains with structured errors;
-//   * transport — serve_stream answers NDJSON lines in order and solo
-//     stream replays are byte-identical to the tool, engine block included.
+//   * transport — serve_stream answers NDJSON lines in order, solo
+//     stream replays are byte-identical to the tool (engine block
+//     included), and serving stops once the output stream fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -486,6 +488,61 @@ TEST(Service, ServeStreamAnswersInOrderAndMatchesTheTool)
     // payload is the tool's document verbatim — engine block included.
     const analysis_response tool = execute_request(sweep, sg);
     EXPECT_EQ(*r2.find("payload"), json_parse(tool.payload));
+}
+
+/// An output buffer that accepts `budget` bytes and refuses every write
+/// after that — a reader that went away mid-stream, without sockets.
+class refusing_streambuf : public std::streambuf {
+public:
+    explicit refusing_streambuf(std::size_t budget) : budget_(budget) {}
+
+protected:
+    int_type overflow(int_type ch) override
+    {
+        if (traits_type::eq_int_type(ch, traits_type::eof())) return traits_type::not_eof(ch);
+        const char c = traits_type::to_char_type(ch);
+        return xsputn(&c, 1) == 1 ? ch : traits_type::eof();
+    }
+
+    std::streamsize xsputn(const char*, std::streamsize n) override
+    {
+        const auto taken = static_cast<std::streamsize>(
+            std::min<std::size_t>(static_cast<std::size_t>(n), budget_));
+        budget_ -= static_cast<std::size_t>(taken);
+        return taken;
+    }
+
+private:
+    std::size_t budget_;
+};
+
+TEST(Service, ServeStreamStopsOnceItsOutputFails)
+{
+    service_options options;
+    options.workers = 1;
+    analysis_service service(options);
+    service.register_design("chip", c_oscillator_sg());
+
+    // 64 request lines; the output takes a few bytes of the first
+    // response and then refuses everything.
+    std::ostringstream script;
+    for (int i = 0; i < 64; ++i)
+        script << analysis_request_json(make_request(request_kind::sweep,
+                                                     "g" + std::to_string(i)))
+                      .write()
+               << "\n";
+    std::istringstream in(script.str());
+    refusing_streambuf sink(16);
+    std::ostream out(&sink);
+
+    service.serve_stream(in, out);
+    EXPECT_FALSE(out.good());
+    // Only the request whose response failed was executed; the rest of
+    // the input is left unread.
+    EXPECT_EQ(service.metrics().requests, 1u);
+    std::size_t unread = 0;
+    for (std::string line; std::getline(in, line);) ++unread;
+    EXPECT_EQ(unread, 63u);
 }
 
 TEST(Service, StatsPayloadReflectsTraffic)
