@@ -43,9 +43,9 @@
 //
 // A fifth round times response encoding: one full-outcome sweep payload
 // (slack and witness on the n-event design, ~2.5 MB at n=256) wrapped by
-// analysis_response_json, which splices the compacted payload into the
-// envelope, against the tree reference it replaced (a json_value envelope
-// around json_parse(payload), then write()).  Best of 5 rounds each; the
+// analysis_response_json, which splices the payload into the envelope as
+// its renderer wrote it, against the tree reference it replaced (a
+// json_value envelope around json_parse(payload), then write()).  Best of 5 rounds each; the
 // two lines must be byte-identical (encode_mismatches, CI-gated at zero,
 // as is the speedup floor).
 //

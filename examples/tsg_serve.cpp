@@ -61,7 +61,6 @@
 //   {"api_version": 1, "kind": "sweep", "design": {"id": "osc"}}
 //   {"id": "", "ok": true, ...}
 #include <atomic>
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
@@ -74,6 +73,7 @@
 #include "net/event_loop.h"
 #include "sg/sg_io.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -98,19 +98,6 @@ void install_drain_handlers()
     sa.sa_flags = 0; // no SA_RESTART: epoll_wait returning EINTR is handled
     ::sigaction(SIGTERM, &sa, nullptr);
     ::sigaction(SIGINT, &sa, nullptr);
-}
-
-/// Parses the value of a count flag: plain decimal digits (no sign, no
-/// trailing characters) no larger than `max`.  The error names the flag.
-std::uint64_t parse_count(const std::string& flag, const std::string& text, std::uint64_t max)
-{
-    std::uint64_t value = 0;
-    const char* last = text.data() + text.size();
-    const auto [end, ec] = std::from_chars(text.data(), last, value);
-    require(ec == std::errc{} && end == last && value <= max,
-            flag + " needs a whole number from 0 to " + std::to_string(max) + ", got '" +
-                text + "'");
-    return value;
 }
 
 } // namespace
@@ -223,7 +210,7 @@ int main(int argc, char** argv)
         if (server.draining()) {
             // The drain's final act: one stats snapshot so the fleet's
             // log collector sees what this instance served before exit.
-            std::cerr << "tsg_serve: drained, final stats:\n" << service.stats_json();
+            std::cerr << "tsg_serve: drained, final stats:\n" << service.stats_json() << '\n';
         }
         return 0;
     } catch (const tsg::error& e) {

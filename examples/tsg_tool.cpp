@@ -6,7 +6,10 @@
 // analysis API (core/api.h): the flags build one analysis_request, the
 // shared executors produce the payload document, and the same pipeline
 // serves the analysis daemon (examples/tsg_serve.cpp) — the tool and the
-// service cannot drift apart.
+// service cannot drift apart.  Each JSON subcommand prints its document
+// as one line, the bytes a daemon response embeds (`python3 -m json.tool`
+// indents it).  Count flags (--samples, --seed, --lanes, --k) take plain
+// decimal digits; anything else is an error naming the flag.
 //
 // Usage:
 //   tsg_tool                      analyze the built-in demo graph
@@ -66,8 +69,10 @@
 //                                 JSON on stdout, including the engine's
 //                                 locality counters (see core/api.h for
 //                                 the script format)
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -156,6 +161,15 @@ std::string option_value(std::vector<std::string>& args, const std::string& flag
     return fallback;
 }
 
+/// Pulls a count flag (plain decimal digits, at most `max`) out of an
+/// argument list; a sign or trailing characters are an error naming it.
+std::uint64_t count_value(std::vector<std::string>& args, const std::string& flag,
+                          const std::string& fallback,
+                          std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    return parse_count(flag, option_value(args, flag, fallback), max);
+}
+
 /// Pulls a value-less `--flag` out of an argument list.
 bool option_flag(std::vector<std::string>& args, const std::string& flag)
 {
@@ -198,7 +212,7 @@ int emit_request(const analysis_request& request, const signal_graph& sg)
         std::cerr << "error: " << response.error.message << "\n";
         return 1;
     }
-    std::cout << response.payload;
+    std::cout << response.payload << '\n';
     return 0;
 }
 
@@ -215,11 +229,11 @@ int run_batch_command(const std::string& command, std::vector<std::string> args)
         o.factor = spread;
     else
         o.spread = spread;
-    o.samples =
-        static_cast<std::size_t>(std::stoull(option_value(args, "--samples", "100")));
-    o.seed = std::stoull(option_value(args, "--seed", "1"));
+    o.samples = count_value(args, "--samples", "100");
+    o.seed = count_value(args, "--seed", "1");
     o.solver = parse_solver(option_value(args, "--solver", "auto"));
-    o.lane_width = static_cast<unsigned>(std::stoul(option_value(args, "--lanes", "0")));
+    o.lane_width = static_cast<unsigned>(
+        count_value(args, "--lanes", "0", std::numeric_limits<unsigned>::max()));
     // The statistics flags only exist on the stats-capable subcommands, so
     // e.g. `sweep --adaptive` fails the unrecognized-argument check below.
     // An explicit --epsilon or --quantile implies the adaptive statistics
@@ -255,13 +269,13 @@ int run_optimize_command(std::vector<std::string> args)
     o.step = rational::parse(option_value(args, "--step", "0"));
     o.target = rational::parse(option_value(args, "--target", "0"));
     o.min_delay = rational::parse(option_value(args, "--floor", "0"));
-    o.samples =
-        static_cast<std::size_t>(std::stoull(option_value(args, "--samples", "100")));
-    o.seed = std::stoull(option_value(args, "--seed", "1"));
+    o.samples = count_value(args, "--samples", "100");
+    o.seed = count_value(args, "--seed", "1");
     o.spread = rational::parse(option_value(args, "--spread", "1/10"));
     o.epsilon = std::stod(option_value(args, "--epsilon", "-1"));
     o.solver = parse_solver(option_value(args, "--solver", "auto"));
-    o.lane_width = static_cast<unsigned>(std::stoul(option_value(args, "--lanes", "0")));
+    o.lane_width = static_cast<unsigned>(
+        count_value(args, "--lanes", "0", std::numeric_limits<unsigned>::max()));
     if (reject_unrecognized("optimize", args)) return 1;
     return emit_request(request, load_model(args.empty() ? std::string() : args[0]));
 }
@@ -272,13 +286,13 @@ int run_topk_command(std::vector<std::string> args)
     request.kind = request_kind::report_topk;
     request_options& o = request.options;
     o.mode = parse_mode(option_value(args, "--mode", "deterministic"));
-    o.k = static_cast<std::size_t>(std::stoull(option_value(args, "--k", "3")));
-    o.samples =
-        static_cast<std::size_t>(std::stoull(option_value(args, "--samples", "100")));
-    o.seed = std::stoull(option_value(args, "--seed", "1"));
+    o.k = count_value(args, "--k", "3");
+    o.samples = count_value(args, "--samples", "100");
+    o.seed = count_value(args, "--seed", "1");
     o.spread = rational::parse(option_value(args, "--spread", "1/10"));
     o.solver = parse_solver(option_value(args, "--solver", "auto"));
-    o.lane_width = static_cast<unsigned>(std::stoul(option_value(args, "--lanes", "0")));
+    o.lane_width = static_cast<unsigned>(
+        count_value(args, "--lanes", "0", std::numeric_limits<unsigned>::max()));
     if (reject_unrecognized("topk", args)) return 1;
     return emit_request(request, load_model(args.empty() ? std::string() : args[0]));
 }
@@ -366,8 +380,8 @@ int main(int argc, char** argv)
         std::cerr << "error: " << e.what() << "\n";
         return 1;
     } catch (const std::exception& e) {
-        // Malformed numeric options (std::stoull and friends) and other
-        // standard-library failures get the same clean exit.
+        // Malformed numeric options (std::stod) and other standard-library
+        // failures get the same clean exit.
         std::cerr << "error: " << e.what() << "\n";
         return 1;
     }

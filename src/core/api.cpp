@@ -1,9 +1,9 @@
 #include "core/api.h"
 
 #include <algorithm>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
-#include <sstream>
+#include <limits>
 #include <utility>
 
 #include "core/pert.h"
@@ -38,6 +38,16 @@ std::uint64_t field_u64(const json_value& v, const std::string& key)
     } catch (const std::exception&) {
         bad("\"" + key + "\" is out of range");
     }
+}
+
+/// field_u64 narrowed to T; a value T cannot hold is out of range.
+template <typename T>
+T field_count(const json_value& v, const std::string& key)
+{
+    constexpr auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    const std::uint64_t value = field_u64(v, key);
+    if (value > max) bad("\"" + key + "\" is out of range (at most " + std::to_string(max) + ")");
+    return static_cast<T>(value);
 }
 
 double field_double(const json_value& v, const std::string& key)
@@ -135,9 +145,9 @@ request_options parse_options(const json_value& doc)
         if (key == "solver")
             options.solver = parse_solver_name(field_string(value, key));
         else if (key == "max_threads")
-            options.max_threads = static_cast<unsigned>(field_u64(value, key));
+            options.max_threads = field_count<unsigned>(value, key);
         else if (key == "lane_width")
-            options.lane_width = static_cast<unsigned>(field_u64(value, key));
+            options.lane_width = field_count<unsigned>(value, key);
         else if (key == "with_slack")
             options.with_slack = field_bool(value, key);
         else if (key == "with_witness")
@@ -145,13 +155,13 @@ request_options parse_options(const json_value& doc)
         else if (key == "factor")
             options.factor = field_rational(value, key);
         else if (key == "samples")
-            options.samples = field_u64(value, key);
+            options.samples = field_count<std::size_t>(value, key);
         else if (key == "seed")
             options.seed = field_u64(value, key);
         else if (key == "spread")
             options.spread = field_rational(value, key);
         else if (key == "resolution")
-            options.resolution = static_cast<std::int64_t>(field_u64(value, key));
+            options.resolution = field_count<std::int64_t>(value, key);
         else if (key == "adaptive")
             options.adaptive = field_bool(value, key);
         else if (key == "epsilon")
@@ -159,9 +169,9 @@ request_options parse_options(const json_value& doc)
         else if (key == "quantile")
             options.quantile = field_double(value, key);
         else if (key == "round_samples")
-            options.round_samples = field_u64(value, key);
+            options.round_samples = field_count<std::size_t>(value, key);
         else if (key == "min_samples")
-            options.min_samples = field_u64(value, key);
+            options.min_samples = field_count<std::size_t>(value, key);
         else if (key == "criticality")
             options.criticality = field_bool(value, key);
         else if (key == "group_by_signal")
@@ -177,7 +187,7 @@ request_options parse_options(const json_value& doc)
         else if (key == "min_delay")
             options.min_delay = field_rational(value, key);
         else if (key == "k")
-            options.k = field_u64(value, key);
+            options.k = field_count<std::size_t>(value, key);
         else if (key == "deadline_ms")
             options.deadline_ms = field_u64(value, key);
         else
@@ -407,56 +417,41 @@ json_value analysis_request_json(const analysis_request& request)
 
 namespace {
 
-/// The error object as json_value::write() renders it:
-/// {"code": ..., "message": ...[, "retry_after_ms": N]}.
-void append_error_object(std::string& out, const api_error& error)
+/// {"code": ..., "message": ...[, "retry_after_ms": N]}
+void write_error(json_writer& out, const api_error& error)
 {
-    out += "{\"code\": ";
-    out += json_quote(error.code);
-    out += ", \"message\": ";
-    out += json_quote(error.message);
-    if (error.retry_after_ms > 0) {
-        out += ", \"retry_after_ms\": ";
-        out += std::to_string(error.retry_after_ms);
-    }
-    out += '}';
+    out.begin_object().key("code").value(error.code).key("message").value(error.message);
+    if (error.retry_after_ms > 0) out.key("retry_after_ms").value(error.retry_after_ms);
+    out.end_object();
 }
 
 } // namespace
 
 std::string analysis_response_json(const analysis_response& response)
 {
-    // The envelope is written directly in json_value::write()'s layout and
-    // the payload spliced in compacted, so an ok response builds no tree.
-    std::string out;
-    out.reserve(response.payload.size() + 160);
-    out += "{\"id\": ";
-    out += json_quote(response.id);
-    out += response.ok ? ", \"ok\": true" : ", \"ok\": false";
-    out += ", \"elapsed_ms\": ";
-    out += double_spelling(response.elapsed_ms);
+    json_writer out;
+    out.reserve(response.payload.size() + response.id.size() + 160)
+        .begin_object()
+        .key("id").value(response.id)
+        .key("ok").value(response.ok)
+        .key("elapsed_ms").raw(double_spelling(response.elapsed_ms));
     if (response.ok) {
-        out += ", \"design_version\": ";
-        out += std::to_string(response.design_version);
-        out += ", \"scenarios\": ";
-        out += std::to_string(response.scenarios);
-        out += response.coalesced ? ", \"coalesced\": true" : ", \"coalesced\": false";
-        out += ", \"payload\": ";
-        out += json_compact(response.payload, "payload");
+        out.key("design_version").value(response.design_version)
+            .key("scenarios").value(response.scenarios)
+            .key("coalesced").value(response.coalesced)
+            .key("payload").raw(response.payload);
     } else {
-        out += ", \"error\": ";
-        append_error_object(out, response.error);
+        write_error(out.key("error"), response.error);
     }
-    out += '}';
-    return out;
+    return out.end_object().take();
 }
 
 std::string api_error_json(const api_error& error)
 {
-    std::string out = "{\"error\": ";
-    append_error_object(out, error);
-    out += '}';
-    return out;
+    json_writer out;
+    out.begin_object();
+    write_error(out.key("error"), error);
+    return out.end_object().take();
 }
 
 api_error classify_error(const std::string& diagnostic, const std::string& fallback)
@@ -479,34 +474,66 @@ api_error classify_error(const std::string& diagnostic, const std::string& fallb
 
 namespace {
 
-template <typename T>
-void append_number_array(std::ostringstream& os, const std::vector<T>& values)
+/// The "exact" and "value" members of an exact quantity.
+json_writer& exact_members(json_writer& out, const rational& v)
 {
-    os << "[";
-    for (std::size_t k = 0; k < values.size(); ++k) os << (k ? ", " : "") << values[k];
-    os << "]";
+    return out.key("exact").value(v.str()).key("value").value(v.to_double());
 }
 
-/// Finite doubles render as numbers; infinities (an unconverged CI on a
-/// one-sample run) as null — JSON has no inf literal.
-std::string json_double(double value, int decimals = 6)
+/// {"exact": "num/den", "value": 1.5}
+void write_exact(json_writer& out, const rational& v)
 {
-    if (!std::isfinite(value)) return "null";
-    return format_double(value, decimals);
+    exact_members(out.begin_object(), v).end_object();
 }
 
-void append_model_header(std::ostringstream& os, const std::string& command,
-                         const std::string& solver, const signal_graph& sg,
-                         const rational& nominal)
+/// An array of event names.
+void write_event_names(json_writer& out, const signal_graph& sg,
+                       const std::vector<event_id>& events)
 {
-    os << "  \"command\": " << json_quote(command) << ",\n";
-    os << "  \"solver\": " << json_quote(solver) << ",\n";
-    os << "  \"model\": {\"events\": " << sg.event_count()
-       << ", \"arcs\": " << sg.arc_count()
-       << ", \"cyclic\": " << (sg.repetitive_events().empty() ? "false" : "true")
-       << "},\n";
-    os << "  \"nominal_cycle_time\": {\"exact\": " << json_quote(nominal.str())
-       << ", \"value\": " << format_double(nominal.to_double(), 6) << "},\n";
+    out.begin_array();
+    for (const event_id e : events) out.value(sg.event(e).name);
+    out.end_array();
+}
+
+/// The leading members of every analysis payload: command, solver, model.
+void write_model_header(json_writer& out, const std::string& command,
+                        const std::string& solver, const signal_graph& sg)
+{
+    out.key("command").value(command).key("solver").value(solver);
+    out.key("model").begin_object()
+        .key("events").value(sg.event_count())
+        .key("arcs").value(sg.arc_count())
+        .key("cyclic").value(!sg.repetitive_events().empty())
+        .end_object();
+}
+
+/// The lane kernel's accounting (scenario_batch_result, stats_run_result).
+template <typename Counts>
+void write_lane_engine(json_writer& out, const Counts& c)
+{
+    out.key("engine").begin_object()
+        .key("lane_groups").value(c.lane_groups)
+        .key("lane_scenarios").value(c.lane_scenarios)
+        .key("lane_evictions").value(c.lane_evictions)
+        .key("scalar_scenarios").value(c.scalar_scenarios)
+        .end_object();
+}
+
+/// An acyclic analysis: the PERT makespan and its critical path.
+void write_pert(json_writer& out, const signal_graph& sg, const pert_result& pert)
+{
+    write_exact(out.key("makespan"), pert.makespan);
+    write_event_names(out.key("critical_path"), sg, pert.critical_path);
+}
+
+/// A cyclic analysis: the cycle time, its critical cycle and the border
+/// events the timing simulation started from.
+void write_cycle_time(json_writer& out, const signal_graph& sg, const cycle_time_result& ct)
+{
+    write_exact(out.key("cycle_time"), ct.cycle_time);
+    out.key("critical_occurrence_period").value(ct.critical_occurrence_period);
+    write_event_names(out.key("critical_cycle"), sg, ct.critical_cycle_events);
+    write_event_names(out.key("border_events"), sg, sg.border_events());
 }
 
 } // namespace
@@ -516,50 +543,42 @@ std::string scenario_batch_json(const std::string& command, const std::string& s
                                 const std::vector<scenario>& scenarios,
                                 const scenario_batch_result& batch)
 {
-    std::ostringstream os;
-    os << "{\n";
-    append_model_header(os, command, solver, sg, nominal);
-    os << "  \"aggregate\": {\n";
-    os << "    \"scenarios\": " << batch.outcomes.size() << ",\n";
-    os << "    \"min\": {\"exact\": " << json_quote(batch.min_cycle_time.str())
-       << ", \"value\": " << format_double(batch.min_cycle_time.to_double(), 6)
-       << ", \"label\": " << json_quote(scenarios[batch.min_index].label) << "},\n";
-    os << "    \"max\": {\"exact\": " << json_quote(batch.max_cycle_time.str())
-       << ", \"value\": " << format_double(batch.max_cycle_time.to_double(), 6)
-       << ", \"label\": " << json_quote(scenarios[batch.max_index].label) << "},\n";
-    os << "    \"mean_value\": " << format_double(batch.mean_cycle_time, 6) << ",\n";
-    os << "    \"rational_fallbacks\": " << batch.fallback_count << ",\n";
-    os << "    \"engine\": {\"lane_groups\": " << batch.lane_groups
-       << ", \"lane_scenarios\": " << batch.lane_scenarios
-       << ", \"lane_evictions\": " << batch.lane_evictions
-       << ", \"scalar_scenarios\": " << batch.scalar_scenarios << "},\n";
-    os << "    \"criticality_count\": ";
-    append_number_array(os, batch.criticality_count);
-    os << ",\n";
-    os << "    \"critical_cycles\": [";
-    for (std::size_t k = 0; k < batch.critical_cycles.size(); ++k) {
-        const critical_cycle_stat& stat = batch.critical_cycles[k];
-        os << (k ? ", " : "") << "{\"arcs\": ";
-        append_number_array(os, stat.arcs);
-        os << ", \"count\": " << stat.count
-           << ", \"first_label\": " << json_quote(scenarios[stat.first_index].label) << "}";
-    }
-    os << "]\n  },\n";
-    os << "  \"scenarios\": [\n";
+    json_writer out;
+    out.begin_object();
+    write_model_header(out, command, solver, sg);
+    write_exact(out.key("nominal_cycle_time"), nominal);
+    out.key("aggregate").begin_object().key("scenarios").value(batch.outcomes.size());
+    exact_members(out.key("min").begin_object(), batch.min_cycle_time)
+        .key("label").value(scenarios[batch.min_index].label)
+        .end_object();
+    exact_members(out.key("max").begin_object(), batch.max_cycle_time)
+        .key("label").value(scenarios[batch.max_index].label)
+        .end_object();
+    out.key("mean_value").value(batch.mean_cycle_time)
+        .key("rational_fallbacks").value(batch.fallback_count);
+    write_lane_engine(out, batch);
+    out.key("criticality_count").value(batch.criticality_count);
+    out.key("critical_cycles").begin_array();
+    for (const critical_cycle_stat& stat : batch.critical_cycles)
+        out.begin_object()
+            .key("arcs").value(stat.arcs)
+            .key("count").value(stat.count)
+            .key("first_label").value(scenarios[stat.first_index].label)
+            .end_object();
+    out.end_array().end_object();
+    out.key("scenarios").begin_array();
     for (std::size_t i = 0; i < batch.outcomes.size(); ++i) {
         const scenario_outcome& o = batch.outcomes[i];
-        os << "    {\"label\": " << json_quote(scenarios[i].label)
-           << ", \"cycle_time\": " << json_quote(o.cycle_time.str())
-           << ", \"value\": " << format_double(o.cycle_time.to_double(), 6)
-           << ", \"fixed_point\": " << (o.fixed_point ? "true" : "false")
-           << ", \"critical_arcs\": ";
-        append_number_array(os, o.critical_arcs);
-        os << ", \"critical_cycle\": ";
-        append_number_array(os, o.critical_cycle);
-        os << "}" << (i + 1 < batch.outcomes.size() ? "," : "") << "\n";
+        out.begin_object()
+            .key("label").value(scenarios[i].label)
+            .key("cycle_time").value(o.cycle_time.str())
+            .key("value").value(o.cycle_time.to_double())
+            .key("fixed_point").value(o.fixed_point)
+            .key("critical_arcs").value(o.critical_arcs)
+            .key("critical_cycle").value(o.critical_cycle)
+            .end_object();
     }
-    os << "  ]\n}\n";
-    return os.str();
+    return out.end_array().end_object().take();
 }
 
 std::string statistics_json(const std::string& command, const std::string& solver,
@@ -568,48 +587,47 @@ std::string statistics_json(const std::string& command, const std::string& solve
 {
     const stats_accumulator& st = run.stats;
     const double z = options.confidence_z;
-
-    std::ostringstream os;
-    os << "{\n";
-    append_model_header(os, command, solver, sg, run.nominal_cycle_time);
-    os << "  \"statistics\": {\n";
-    os << "    \"samples\": " << st.count() << ",\n";
-    os << "    \"rounds\": " << run.rounds << ",\n";
-    os << "    \"adaptive\": " << (run.adaptive ? "true" : "false") << ",\n";
-    os << "    \"converged\": " << (run.converged ? "true" : "false") << ",\n";
     std::string target = "mean";
-    if (options.quantile >= 0.0) {
-        target = "q";
-        target += format_double(options.quantile, 4);
-    }
-    os << "    \"target\": " << json_quote(target) << ",\n";
-    os << "    \"epsilon\": " << json_double(run.target_half_width) << ",\n";
-    os << "    \"ci_half_width\": " << json_double(run.achieved_half_width) << ",\n";
-    os << "    \"confidence_z\": " << json_double(z) << ",\n";
-    os << "    \"mean\": " << json_double(st.mean()) << ",\n";
-    os << "    \"stddev\": " << json_double(st.stddev()) << ",\n";
-    os << "    \"variance\": " << json_double(st.variance()) << ",\n";
-    os << "    \"mean_ci_half_width\": " << json_double(st.mean_ci_half_width(z)) << ",\n";
-    os << "    \"min\": {\"exact\": " << json_quote(st.min_cycle_time().str())
-       << ", \"value\": " << format_double(st.min_cycle_time().to_double(), 6)
-       << ", \"sample\": " << st.min_index() << "},\n";
-    os << "    \"max\": {\"exact\": " << json_quote(st.max_cycle_time().str())
-       << ", \"value\": " << format_double(st.max_cycle_time().to_double(), 6)
-       << ", \"sample\": " << st.max_index() << "},\n";
-    os << "    \"quantiles\": {\"p50\": " << json_double(st.quantile(0.50))
-       << ", \"p95\": " << json_double(st.quantile(0.95))
-       << ", \"p99\": " << json_double(st.quantile(0.99)) << "},\n";
-    os << "    \"histogram\": {\"lo\": " << json_quote(st.histogram_lo().str())
-       << ", \"hi\": " << json_quote(st.histogram_hi().str())
-       << ", \"bins\": " << st.histogram().size() << ", \"underflow\": " << st.underflow()
-       << ", \"overflow\": " << st.overflow() << ", \"counts\": ";
-    append_number_array(os, st.histogram());
-    os << "},\n";
-    os << "    \"rational_fallbacks\": " << st.fallback_count() << ",\n";
-    os << "    \"engine\": {\"lane_groups\": " << run.lane_groups
-       << ", \"lane_scenarios\": " << run.lane_scenarios
-       << ", \"lane_evictions\": " << run.lane_evictions
-       << ", \"scalar_scenarios\": " << run.scalar_scenarios << "}";
+    if (options.quantile >= 0.0) target = "q" + format_double(options.quantile, 4);
+
+    json_writer out;
+    out.begin_object();
+    write_model_header(out, command, solver, sg);
+    write_exact(out.key("nominal_cycle_time"), run.nominal_cycle_time);
+    out.key("statistics").begin_object()
+        .key("samples").value(st.count())
+        .key("rounds").value(run.rounds)
+        .key("adaptive").value(run.adaptive)
+        .key("converged").value(run.converged)
+        .key("target").value(target)
+        .key("epsilon").value(run.target_half_width)
+        .key("ci_half_width").value(run.achieved_half_width)
+        .key("confidence_z").value(z)
+        .key("mean").value(st.mean())
+        .key("stddev").value(st.stddev())
+        .key("variance").value(st.variance())
+        .key("mean_ci_half_width").value(st.mean_ci_half_width(z));
+    exact_members(out.key("min").begin_object(), st.min_cycle_time())
+        .key("sample").value(st.min_index())
+        .end_object();
+    exact_members(out.key("max").begin_object(), st.max_cycle_time())
+        .key("sample").value(st.max_index())
+        .end_object();
+    out.key("quantiles").begin_object()
+        .key("p50").value(st.quantile(0.50))
+        .key("p95").value(st.quantile(0.95))
+        .key("p99").value(st.quantile(0.99))
+        .end_object();
+    out.key("histogram").begin_object()
+        .key("lo").value(st.histogram_lo().str())
+        .key("hi").value(st.histogram_hi().str())
+        .key("bins").value(st.histogram().size())
+        .key("underflow").value(st.underflow())
+        .key("overflow").value(st.overflow())
+        .key("counts").value(st.histogram())
+        .end_object();
+    out.key("rational_fallbacks").value(st.fallback_count());
+    write_lane_engine(out, run);
 
     // Criticality: every arc that was ever critical, most probable first
     // (ties: ascending arc id) — the probabilistic analogue of the batch
@@ -622,15 +640,15 @@ std::string statistics_json(const std::string& command, const std::string& solve
         return crit[a] > crit[b];
     });
     if (!critical.empty()) {
-        os << ",\n    \"criticality\": [";
-        for (std::size_t k = 0; k < critical.size(); ++k) {
-            const arc_id a = critical[k];
-            os << (k ? ", " : "") << "{\"arc\": " << a << ", \"count\": " << crit[a]
-               << ", \"probability\": " << json_double(st.criticality_probability(a))
-               << ", \"ci_half_width\": " << json_double(st.criticality_ci_half_width(a, z))
-               << "}";
-        }
-        os << "]";
+        out.key("criticality").begin_array();
+        for (const arc_id a : critical)
+            out.begin_object()
+                .key("arc").value(a)
+                .key("count").value(crit[a])
+                .key("probability").value(st.criticality_probability(a))
+                .key("ci_half_width").value(st.criticality_ci_half_width(a, z))
+                .end_object();
+        out.end_array();
     }
 
     // Per-gate (per-signal) criticality, when the run grouped arcs.
@@ -643,20 +661,17 @@ std::string statistics_json(const std::string& command, const std::string& solve
             if (counts[a] != counts[b]) return counts[a] > counts[b];
             return gates[a] < gates[b];
         });
-        os << ",\n    \"gates\": [";
-        for (std::size_t k = 0; k < order.size(); ++k) {
-            const std::size_t g = order[k];
-            os << (k ? ", " : "") << "{\"gate\": " << json_quote(gates[g])
-               << ", \"count\": " << counts[g]
-               << ", \"probability\": " << json_double(st.group_criticality_probability(g))
-               << ", \"ci_half_width\": "
-               << json_double(st.group_criticality_ci_half_width(g, z)) << "}";
-        }
-        os << "]";
+        out.key("gates").begin_array();
+        for (const std::size_t g : order)
+            out.begin_object()
+                .key("gate").value(gates[g])
+                .key("count").value(counts[g])
+                .key("probability").value(st.group_criticality_probability(g))
+                .key("ci_half_width").value(st.group_criticality_ci_half_width(g, z))
+                .end_object();
+        out.end_array();
     }
-
-    os << "\n  }\n}\n";
-    return os.str();
+    return out.end_object().end_object().take();
 }
 
 // --- edit scripts ------------------------------------------------------------
@@ -668,9 +683,13 @@ std::uint32_t edit_field_index(const json_value& obj, const std::string& key)
     const json_value* v = obj.find(key);
     require(v != nullptr && v->k == json_value::kind::number_v,
             "edit script: edit needs a numeric \"" + key + "\"");
-    require(v->text.find_first_not_of("0123456789") == std::string::npos,
-            "edit script: \"" + key + "\" must be a non-negative integer");
-    return static_cast<std::uint32_t>(std::stoul(v->text));
+    std::uint32_t index = 0;
+    const char* last = v->text.data() + v->text.size();
+    const auto [end, ec] = std::from_chars(v->text.data(), last, index);
+    require(ec == std::errc{} && end == last,
+            "edit script: \"" + key + "\" must be an integer from 0 to " +
+                std::to_string(std::numeric_limits<std::uint32_t>::max()));
+    return index;
 }
 
 event_id edit_field_event(const json_value& obj, const std::string& key,
@@ -725,12 +744,6 @@ graph_edit parse_edit(const json_value& obj, const signal_graph& sg)
                                           edit_field_flag(obj, "marked", true));
     throw error("edit script: unknown op '" + op->text +
                 "' (use add_arc, remove_arc, set_delay, retarget or set_marking)");
-}
-
-void append_exact(std::ostringstream& os, const rational& v)
-{
-    os << "{\"exact\": " << json_quote(v.str())
-       << ", \"value\": " << format_double(v.to_double(), 6) << "}";
 }
 
 } // namespace
@@ -806,82 +819,66 @@ std::string edit_run_json(incremental_engine& eng, const edit_script& script,
                           const std::vector<edit_batch_status>& statuses)
 {
     const signal_graph& sg = eng.graph();
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"command\": \"edit\",\n";
-    os << "  \"model\": {\"events\": " << sg.event_count()
-       << ", \"arcs\": " << sg.live_arc_count() << ", \"tokens\": " << sg.token_count()
-       << ", \"cyclic\": " << (sg.repetitive_events().empty() ? "false" : "true")
-       << "},\n";
-    os << "  \"nominal\": {\"cyclic\": " << (nominal_cyclic ? "true" : "false")
-       << ", \"cycle_time\": ";
-    append_exact(os, nominal);
-    os << "},\n";
+    json_writer out;
+    out.begin_object().key("command").value("edit");
+    out.key("model").begin_object()
+        .key("events").value(sg.event_count())
+        .key("arcs").value(sg.live_arc_count())
+        .key("tokens").value(sg.token_count())
+        .key("cyclic").value(!sg.repetitive_events().empty())
+        .end_object();
+    out.key("nominal").begin_object().key("cyclic").value(nominal_cyclic);
+    write_exact(out.key("cycle_time"), nominal);
+    out.end_object();
 
-    os << "  \"batches\": [\n";
+    out.key("batches").begin_array();
     for (std::size_t i = 0; i < statuses.size(); ++i) {
         const edit_batch_status& st = statuses[i];
-        os << "    {\"label\": " << json_quote(script.labels[i])
-           << ", \"edits\": " << script.batches[i].size()
-           << ", \"applied\": " << (st.applied ? "true" : "false");
+        out.begin_object()
+            .key("label").value(script.labels[i])
+            .key("edits").value(script.batches[i].size())
+            .key("applied").value(st.applied);
         if (st.applied) {
-            os << ", \"cyclic\": " << (st.cyclic ? "true" : "false")
-               << ", \"cycle_time\": ";
-            append_exact(os, st.cycle_time);
+            out.key("cyclic").value(st.cyclic);
+            write_exact(out.key("cycle_time"), st.cycle_time);
         } else {
             // The normalized structured error object (core/api.h) — the
             // same {code, message} shape every other error path reports.
-            const api_error err = classify_error(st.message);
-            os << ", \"error\": {\"code\": " << json_quote(err.code)
-               << ", \"message\": " << json_quote(err.message) << "}";
+            write_error(out.key("error"), classify_error(st.message));
         }
-        os << "}" << (i + 1 < statuses.size() ? "," : "") << "\n";
+        out.end_object();
     }
-    os << "  ],\n";
+    out.end_array();
 
     // Final analysis on the edited structure: a cold solve, bit-identical
     // to a fresh finalize() + compile of the same graph.
-    os << "  \"final\": {";
-    if (sg.repetitive_events().empty()) {
-        const pert_result pert = analyze_pert(eng.compiled());
-        os << "\"cyclic\": false, \"makespan\": ";
-        append_exact(os, pert.makespan);
-        os << ", \"critical_path\": [";
-        for (std::size_t i = 0; i < pert.critical_path.size(); ++i)
-            os << (i ? ", " : "") << json_quote(sg.event(pert.critical_path[i]).name);
-        os << "]";
-    } else {
-        const cycle_time_result ct = eng.analyze();
-        os << "\"cyclic\": true, \"cycle_time\": ";
-        append_exact(os, ct.cycle_time);
-        os << ", \"critical_occurrence_period\": " << ct.critical_occurrence_period;
-        os << ", \"critical_cycle\": [";
-        for (std::size_t i = 0; i < ct.critical_cycle_events.size(); ++i)
-            os << (i ? ", " : "") << json_quote(sg.event(ct.critical_cycle_events[i]).name);
-        os << "], \"border_events\": [";
-        for (std::size_t i = 0; i < sg.border_events().size(); ++i)
-            os << (i ? ", " : "") << json_quote(sg.event(sg.border_events()[i]).name);
-        os << "]";
-    }
-    os << "},\n";
+    const bool cyclic = !sg.repetitive_events().empty();
+    out.key("final").begin_object().key("cyclic").value(cyclic);
+    if (cyclic)
+        write_cycle_time(out, sg, eng.analyze());
+    else
+        write_pert(out, sg, analyze_pert(eng.compiled()));
+    out.end_object();
 
     const incremental_counters& c = eng.counters();
-    os << "  \"engine\": {\"batches_applied\": " << c.batches_applied
-       << ", \"edits_applied\": " << c.edits_applied << ", \"undos\": " << c.undos
-       << ",\n    \"arcs_repaired\": " << c.arcs_repaired
-       << ", \"csr_compactions\": " << c.csr_compactions
-       << ", \"topo_window\": " << c.topo_window
-       << ",\n    \"sccs_recondensed\": " << c.sccs_recondensed
-       << ", \"scc_window\": " << c.scc_window
-       << ", \"scc_runs_skipped\": " << c.scc_runs_skipped
-       << ",\n    \"core_rebuilds\": " << c.core_rebuilds
-       << ", \"full_rebuilds\": " << c.full_rebuilds
-       << ",\n    \"fixed_point_patches\": " << c.fixed_point_patches
-       << ", \"fixed_point_recomputes\": " << c.fixed_point_recomputes
-       << ",\n    \"warm_states_kept\": " << c.warm_states_kept
-       << ", \"warm_states_dropped\": " << c.warm_states_dropped << "}\n";
-    os << "}\n";
-    return os.str();
+    out.key("engine").begin_object()
+        .key("batches_applied").value(c.batches_applied)
+        .key("edits_applied").value(c.edits_applied)
+        .key("undos").value(c.undos)
+        .key("arcs_repaired").value(c.arcs_repaired)
+        .key("csr_compactions").value(c.csr_compactions)
+        .key("topo_window").value(c.topo_window)
+        .key("sccs_recondensed").value(c.sccs_recondensed)
+        .key("scc_window").value(c.scc_window)
+        .key("scc_runs_skipped").value(c.scc_runs_skipped)
+        .key("core_rebuilds").value(c.core_rebuilds)
+        .key("full_rebuilds").value(c.full_rebuilds)
+        .key("fixed_point_patches").value(c.fixed_point_patches)
+        .key("fixed_point_recomputes").value(c.fixed_point_recomputes)
+        .key("warm_states_kept").value(c.warm_states_kept)
+        .key("warm_states_dropped").value(c.warm_states_dropped)
+        .end_object();
+    return out.end_object().take();
 }
 
 // --- optimize / report_topk --------------------------------------------------
@@ -890,71 +887,62 @@ std::string optimize_json(const std::string& command, const std::string& solver,
                           const signal_graph& sg, const optimize_options& options,
                           const optimize_result& result)
 {
-    const bool statistical = result.mode == optimize_mode::statistical;
-    std::ostringstream os;
-    os << "{\n";
-    append_model_header(os, command, solver, sg, result.initial_cycle_time);
-    os << "  \"optimize\": {\n";
-    os << "    \"mode\": " << json_quote(mode_spelling(result.mode)) << ",\n";
-    os << "    \"budget\": ";
-    append_exact(os, options.budget);
-    os << ",\n    \"step\": ";
-    append_exact(os, options.step);
-    os << ",\n    \"target\": ";
-    append_exact(os, options.target);
-    os << ",\n    \"min_delay\": ";
-    append_exact(os, options.min_delay);
-    os << ",\n    \"budget_spent\": ";
-    append_exact(os, result.budget_spent);
-    os << ",\n    \"final_cycle_time\": ";
-    append_exact(os, result.final_cycle_time);
-    os << ",\n    \"target_reached\": " << (result.target_reached ? "true" : "false")
-       << ",\n    \"exact\": " << (result.exact ? "true" : "false")
-       << ",\n    \"evaluations\": " << result.evaluations
-       << ",\n    \"candidates\": " << result.candidates << ",\n";
-    if (statistical) {
-        os << "    \"seed\": " << options.mc.seed << ",\n";
-        os << "    \"samples\": " << result.samples << ",\n";
-        os << "    \"initial_yield\": " << json_double(result.initial_yield)
-           << ",\n    \"initial_yield_ci_half_width\": "
-           << json_double(result.initial_yield_ci_half_width)
-           << ",\n    \"final_yield\": " << json_double(result.final_yield)
-           << ",\n    \"final_yield_ci_half_width\": "
-           << json_double(result.final_yield_ci_half_width) << ",\n";
-        os << "    \"steps\": [";
-        for (std::size_t i = 0; i < result.steps.size(); ++i) {
-            const optimize_step& step = result.steps[i];
-            os << (i ? ", " : "") << "{\"arc\": " << step.arc << ", \"reduction\": "
-               << json_quote(step.reduction.str()) << ", \"cycle_time_after\": ";
-            append_exact(os, step.cycle_time_after);
-            os << ", \"yield\": " << json_double(step.yield_after)
-               << ", \"ci_half_width\": " << json_double(step.yield_ci_half_width)
-               << ", \"samples\": " << step.samples << "}";
+    json_writer out;
+    out.begin_object();
+    write_model_header(out, command, solver, sg);
+    write_exact(out.key("nominal_cycle_time"), result.initial_cycle_time);
+    out.key("optimize").begin_object().key("mode").value(mode_spelling(result.mode));
+    write_exact(out.key("budget"), options.budget);
+    write_exact(out.key("step"), options.step);
+    write_exact(out.key("target"), options.target);
+    write_exact(out.key("min_delay"), options.min_delay);
+    write_exact(out.key("budget_spent"), result.budget_spent);
+    write_exact(out.key("final_cycle_time"), result.final_cycle_time);
+    out.key("target_reached").value(result.target_reached)
+        .key("exact").value(result.exact)
+        .key("evaluations").value(result.evaluations)
+        .key("candidates").value(result.candidates);
+    if (result.mode == optimize_mode::statistical) {
+        out.key("seed").value(options.mc.seed)
+            .key("samples").value(result.samples)
+            .key("initial_yield").value(result.initial_yield)
+            .key("initial_yield_ci_half_width").value(result.initial_yield_ci_half_width)
+            .key("final_yield").value(result.final_yield)
+            .key("final_yield_ci_half_width").value(result.final_yield_ci_half_width);
+        out.key("steps").begin_array();
+        for (const optimize_step& step : result.steps) {
+            out.begin_object()
+                .key("arc").value(step.arc)
+                .key("reduction").value(step.reduction.str());
+            write_exact(out.key("cycle_time_after"), step.cycle_time_after);
+            out.key("yield").value(step.yield_after)
+                .key("ci_half_width").value(step.yield_ci_half_width)
+                .key("samples").value(step.samples)
+                .end_object();
         }
-        os << "],\n";
+        out.end_array();
     }
-    os << "    \"allocations\": [\n";
-    for (std::size_t i = 0; i < result.allocations.size(); ++i) {
-        const optimize_allocation& a = result.allocations[i];
-        os << "      {\"arc\": " << a.arc
-           << ", \"from\": " << json_quote(sg.event(sg.arc(a.arc).from).name)
-           << ", \"to\": " << json_quote(sg.event(sg.arc(a.arc).to).name)
-           << ", \"old_delay\": " << json_quote(a.old_delay.str())
-           << ", \"new_delay\": " << json_quote(a.new_delay.str())
-           << ", \"reduction\": " << json_quote(a.reduction.str()) << "}"
-           << (i + 1 < result.allocations.size() ? "," : "") << "\n";
-    }
-    os << "    ],\n";
+    out.key("allocations").begin_array();
+    for (const optimize_allocation& a : result.allocations)
+        out.begin_object()
+            .key("arc").value(a.arc)
+            .key("from").value(sg.event(sg.arc(a.arc).from).name)
+            .key("to").value(sg.event(sg.arc(a.arc).to).name)
+            .key("old_delay").value(a.old_delay.str())
+            .key("new_delay").value(a.new_delay.str())
+            .key("reduction").value(a.reduction.str())
+            .end_object();
+    out.end_array();
     // The same plan as an edit script body: apply via `tsg_tool edit` or an
     // edit request to commit it as a new design version.
-    os << "    \"edits\": [";
-    for (std::size_t i = 0; i < result.edits.size(); ++i) {
-        const graph_edit& e = result.edits[i];
-        os << (i ? ", " : "") << "{\"op\": \"set_delay\", \"arc\": " << e.arc
-           << ", \"delay\": " << json_quote(e.delay.str()) << "}";
-    }
-    os << "]\n  }\n}\n";
-    return os.str();
+    out.key("edits").begin_array();
+    for (const graph_edit& e : result.edits)
+        out.begin_object()
+            .key("op").value("set_delay")
+            .key("arc").value(e.arc)
+            .key("delay").value(e.delay.str())
+            .end_object();
+    return out.end_array().end_object().end_object().take();
 }
 
 std::string topk_json(const std::string& command, const std::string& solver,
@@ -962,47 +950,43 @@ std::string topk_json(const std::string& command, const std::string& solver,
                       const topk_result& result)
 {
     const bool statistical = result.mode == optimize_mode::statistical;
-    std::ostringstream os;
-    os << "{\n";
-    append_model_header(os, command, solver, sg, result.cycle_time);
-    os << "  \"topk\": {\n";
-    os << "    \"mode\": " << json_quote(mode_spelling(result.mode)) << ",\n";
-    os << "    \"k\": " << options.k << ",\n";
-    os << "    \"returned\": " << result.cycles.size() << ",\n";
-    os << "    \"truncated\": " << (result.truncated ? "true" : "false") << ",\n";
+    json_writer out;
+    out.begin_object();
+    write_model_header(out, command, solver, sg);
+    write_exact(out.key("nominal_cycle_time"), result.cycle_time);
+    out.key("topk").begin_object()
+        .key("mode").value(mode_spelling(result.mode))
+        .key("k").value(options.k)
+        .key("returned").value(result.cycles.size())
+        .key("truncated").value(result.truncated);
     if (statistical)
-        os << "    \"samples\": " << result.samples << ",\n";
+        out.key("samples").value(result.samples);
     else
-        os << "    \"solves\": " << result.solves << ",\n";
-    os << "    \"cycles\": [\n";
+        out.key("solves").value(result.solves);
+    out.key("cycles").begin_array();
     for (std::size_t i = 0; i < result.cycles.size(); ++i) {
         const topk_cycle& cycle = result.cycles[i];
-        os << "      {\"rank\": " << (i + 1) << ",\n       \"ratio\": ";
-        append_exact(os, cycle.ratio);
-        os << ",\n       \"delay\": ";
-        append_exact(os, cycle.delay);
-        os << ",\n       \"tokens\": " << cycle.tokens << ",\n       \"slack\": ";
-        append_exact(os, cycle.slack);
-        os << ",\n       \"events\": [";
-        for (std::size_t j = 0; j < cycle.events.size(); ++j)
-            os << (j ? ", " : "") << json_quote(sg.event(cycle.events[j]).name);
-        os << "],\n       \"arcs\": [";
-        for (std::size_t j = 0; j < cycle.contributions.size(); ++j) {
-            const topk_arc_contribution& c = cycle.contributions[j];
-            os << (j ? ", " : "") << "{\"arc\": " << c.arc
-               << ", \"delay\": " << json_quote(c.delay.str())
-               << ", \"share\": " << json_double(c.share) << "}";
-        }
-        os << "]";
-        if (statistical) {
-            os << ",\n       \"count\": " << cycle.count
-               << ", \"probability\": " << json_double(cycle.probability)
-               << ", \"ci_half_width\": " << json_double(cycle.ci_half_width);
-        }
-        os << "}" << (i + 1 < result.cycles.size() ? "," : "") << "\n";
+        out.begin_object().key("rank").value(i + 1);
+        write_exact(out.key("ratio"), cycle.ratio);
+        write_exact(out.key("delay"), cycle.delay);
+        out.key("tokens").value(cycle.tokens);
+        write_exact(out.key("slack"), cycle.slack);
+        write_event_names(out.key("events"), sg, cycle.events);
+        out.key("arcs").begin_array();
+        for (const topk_arc_contribution& c : cycle.contributions)
+            out.begin_object()
+                .key("arc").value(c.arc)
+                .key("delay").value(c.delay.str())
+                .key("share").value(c.share)
+                .end_object();
+        out.end_array();
+        if (statistical)
+            out.key("count").value(cycle.count)
+                .key("probability").value(cycle.probability)
+                .key("ci_half_width").value(cycle.ci_half_width);
+        out.end_object();
     }
-    os << "    ]\n  }\n}\n";
-    return os.str();
+    return out.end_array().end_object().end_object().take();
 }
 
 // --- executors ---------------------------------------------------------------
@@ -1012,38 +996,15 @@ namespace {
 std::string analyze_payload(const analysis_request& request, const signal_graph& sg,
                             const compiled_graph& compiled)
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"command\": \"analyze\",\n";
-    os << "  \"solver\": " << json_quote(solver_spelling(request.options.solver)) << ",\n";
-    os << "  \"model\": {\"events\": " << sg.event_count()
-       << ", \"arcs\": " << sg.arc_count()
-       << ", \"cyclic\": " << (sg.repetitive_events().empty() ? "false" : "true")
-       << "},\n";
-    if (sg.repetitive_events().empty()) {
-        const pert_result pert = analyze_pert(compiled);
-        os << "  \"makespan\": ";
-        append_exact(os, pert.makespan);
-        os << ",\n  \"critical_path\": [";
-        for (std::size_t i = 0; i < pert.critical_path.size(); ++i)
-            os << (i ? ", " : "") << json_quote(sg.event(pert.critical_path[i]).name);
-        os << "]\n}\n";
-    } else {
-        const cycle_time_result result =
-            analyze_cycle_time(compiled, request.options.to_analysis_options());
-        os << "  \"cycle_time\": ";
-        append_exact(os, result.cycle_time);
-        os << ",\n  \"critical_occurrence_period\": " << result.critical_occurrence_period
-           << ",\n  \"critical_cycle\": [";
-        for (std::size_t i = 0; i < result.critical_cycle_events.size(); ++i)
-            os << (i ? ", " : "")
-               << json_quote(sg.event(result.critical_cycle_events[i]).name);
-        os << "],\n  \"border_events\": [";
-        for (std::size_t i = 0; i < sg.border_events().size(); ++i)
-            os << (i ? ", " : "") << json_quote(sg.event(sg.border_events()[i]).name);
-        os << "]\n}\n";
-    }
-    return os.str();
+    json_writer out;
+    out.begin_object();
+    write_model_header(out, "analyze", solver_spelling(request.options.solver), sg);
+    if (sg.repetitive_events().empty())
+        write_pert(out, sg, analyze_pert(compiled));
+    else
+        write_cycle_time(out, sg,
+                         analyze_cycle_time(compiled, request.options.to_analysis_options()));
+    return out.end_object().take();
 }
 
 } // namespace

@@ -209,7 +209,7 @@ struct api_error {
 };
 
 /// One response on the wire.  `payload` holds the analysis document
-/// (exactly the bytes the tool prints) when ok; `error` otherwise.
+/// (exactly the line the tool prints) when ok; `error` otherwise.
 struct analysis_response {
     std::string id;
     bool ok = false;
@@ -235,11 +235,12 @@ struct analysis_response {
 /// out), one line.  parse(serialize(r)) == r for every valid request.
 [[nodiscard]] json_value analysis_request_json(const analysis_request& request);
 
-/// Serializes a response as one NDJSON line.  The payload document is
-/// embedded compacted (util/json.h: json_compact — validated in the same
-/// pass, raw number spellings preserved), byte-identical to re-parsing it
-/// into a json_value envelope and writing that.  Throws tsg::error when
-/// an ok response's payload is not valid JSON.
+/// Serializes a response as one NDJSON line.  An ok response's payload
+/// is spliced in unchanged: every payload renderer below writes its
+/// document with json_writer in the one wire layout, so the line is
+/// byte-identical to re-parsing the payload into a json_value envelope
+/// and writing that.  The payload is not re-checked; only the renderers
+/// produce it.
 [[nodiscard]] std::string analysis_response_json(const analysis_response& response);
 
 /// Renders a bare structured error document — the normalized error shape
@@ -253,7 +254,9 @@ struct analysis_response {
                                        const std::string& fallback = "invalid_model");
 
 // --- payload renderers -------------------------------------------------------
-// The exact documents `tsg_tool` ships, golden-pinned byte for byte.
+// The exact documents `tsg_tool` prints and responses embed, golden-pinned
+// byte for byte.  Each is written by one json_writer in the compact wire
+// layout (util/json.h): one line, no trailing newline.
 
 /// Renders one evaluated batch as a JSON document.  `command` and
 /// `solver` are echoed verbatim (the tool passes its subcommand and the

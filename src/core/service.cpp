@@ -4,7 +4,6 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "core/compiled_graph.h"
@@ -346,8 +345,13 @@ std::uint64_t analysis_service::take_quota_token(const std::string& id)
 std::optional<api_error> analysis_service::admit(pending job)
 {
     const auto now = std::chrono::steady_clock::now();
-    if (job.request.options.deadline_ms > 0)
-        job.deadline = now + std::chrono::milliseconds(job.request.options.deadline_ms);
+    // A deadline beyond what the steady clock can represent never passes:
+    // it stays unset rather than overflow the addition.
+    const std::uint64_t deadline_ms = job.request.options.deadline_ms;
+    const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::time_point::max() - now);
+    if (deadline_ms > 0 && deadline_ms < static_cast<std::uint64_t>(headroom.count()))
+        job.deadline = now + std::chrono::milliseconds(deadline_ms);
 
     // Probe kinds (health, stats) are exempt from quotas, and health is
     // answerable while draining — a load balancer must be able to observe
@@ -932,49 +936,67 @@ service_metrics analysis_service::metrics() const
 std::string analysis_service::stats_json() const
 {
     const service_metrics m = metrics();
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"command\": \"stats\",\n";
-    out << "  \"requests\": {\"total\": " << m.requests << ", \"failed\": " << m.failures
-        << ", \"batch\": " << m.batch_requests
-        << ", \"coalesced\": " << m.coalesced_requests
-        << ", \"edits_committed\": " << m.edits_committed << "},\n";
-    out << "  \"designs\": {\"count\": " << m.designs << ", \"versions\": " << m.versions
-        << ", \"evicted\": " << m.versions_evicted << "},\n";
-    out << "  \"queue\": {\"depth\": " << m.queue_depth << ", \"peak\": " << m.queue_peak
-        << "},\n";
-    out << "  \"admission\": {\"queue_limit\": " << m.queue_limit
-        << ", \"shed\": " << m.requests_shed << ", \"rate_limited\": " << m.rate_limited
-        << ", \"deadline_expired\": " << m.deadline_expired
-        << ", \"drain_rejected\": " << m.drain_rejected
-        << ", \"draining\": " << (m.draining ? "true" : "false")
-        << ", \"arrival_ewma_us\": " << format_double(m.arrival_ewma_us, 6) << "},\n";
-    out << "  \"cache\": {\"hits\": " << m.cache_hits << ", \"entries\": " << m.cache_entries
-        << ", \"bytes\": " << m.cache_bytes << "},\n";
-    out << "  \"fleet\": {";
-    for (std::size_t i = 0; i < m.fleet.size(); ++i) {
-        const auto& [id, t] = m.fleet[i];
-        out << (i ? ", " : "") << json_quote(id) << ": {\"requests\": " << t.requests
-            << ", \"failed\": " << t.failures << ", \"shed\": " << t.shed
-            << ", \"rate_limited\": " << t.rate_limited
-            << ", \"deadline_expired\": " << t.deadline_expired
-            << ", \"scenarios\": " << t.scenarios
-            << ", \"cache_hits\": " << t.cache_hits << "}";
-    }
-    out << "},\n";
-    out << "  \"coalescing\": {\"engine_batches\": " << m.engine_batches
-        << ", \"efficiency\": " << format_double(m.coalescing_efficiency, 6) << "},\n";
-    out << "  \"throughput\": {\"scenarios\": " << m.scenarios
-        << ", \"uptime_seconds\": " << format_double(m.uptime_seconds, 6)
-        << ", \"scenarios_per_second\": " << format_double(m.scenarios_per_second, 6)
-        << "},\n";
-    out << "  \"latency_us\": {\"samples\": " << m.latency_samples
-        << ", \"mean\": " << format_double(m.latency_mean_us, 6)
-        << ", \"p50\": " << format_double(m.latency_p50_us, 6)
-        << ", \"p95\": " << format_double(m.latency_p95_us, 6)
-        << ", \"p99\": " << format_double(m.latency_p99_us, 6) << "}\n";
-    out << "}\n";
-    return out.str();
+    json_writer out;
+    out.begin_object().key("command").value("stats");
+    out.key("requests").begin_object()
+        .key("total").value(m.requests)
+        .key("failed").value(m.failures)
+        .key("batch").value(m.batch_requests)
+        .key("coalesced").value(m.coalesced_requests)
+        .key("edits_committed").value(m.edits_committed)
+        .end_object();
+    out.key("designs").begin_object()
+        .key("count").value(m.designs)
+        .key("versions").value(m.versions)
+        .key("evicted").value(m.versions_evicted)
+        .end_object();
+    out.key("queue").begin_object()
+        .key("depth").value(m.queue_depth)
+        .key("peak").value(m.queue_peak)
+        .end_object();
+    out.key("admission").begin_object()
+        .key("queue_limit").value(m.queue_limit)
+        .key("shed").value(m.requests_shed)
+        .key("rate_limited").value(m.rate_limited)
+        .key("deadline_expired").value(m.deadline_expired)
+        .key("drain_rejected").value(m.drain_rejected)
+        .key("draining").value(m.draining)
+        .key("arrival_ewma_us").value(m.arrival_ewma_us)
+        .end_object();
+    out.key("cache").begin_object()
+        .key("hits").value(m.cache_hits)
+        .key("entries").value(m.cache_entries)
+        .key("bytes").value(m.cache_bytes)
+        .end_object();
+    out.key("fleet").begin_object();
+    for (const auto& [id, t] : m.fleet)
+        out.key(id).begin_object()
+            .key("requests").value(t.requests)
+            .key("failed").value(t.failures)
+            .key("shed").value(t.shed)
+            .key("rate_limited").value(t.rate_limited)
+            .key("deadline_expired").value(t.deadline_expired)
+            .key("scenarios").value(t.scenarios)
+            .key("cache_hits").value(t.cache_hits)
+            .end_object();
+    out.end_object();
+    out.key("coalescing").begin_object()
+        .key("engine_batches").value(m.engine_batches)
+        .key("efficiency").value(m.coalescing_efficiency)
+        .end_object();
+    out.key("throughput").begin_object()
+        .key("scenarios").value(m.scenarios)
+        .key("uptime_seconds").value(m.uptime_seconds)
+        .key("scenarios_per_second").value(m.scenarios_per_second)
+        .end_object();
+    out.key("latency_us").begin_object()
+        .key("samples").value(m.latency_samples)
+        .key("mean").value(m.latency_mean_us)
+        .key("p50").value(m.latency_p50_us)
+        .key("p95").value(m.latency_p95_us)
+        .key("p99").value(m.latency_p99_us)
+        .end_object();
+    return out.end_object().take();
 }
 
 std::string analysis_service::health_json() const
@@ -992,23 +1014,20 @@ std::string analysis_service::health_json() const
         std::lock_guard<std::mutex> lk(registry_mutex_);
         designs = designs_.size();
     }
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"command\": \"health\",\n";
-    out << "  \"status\": " << (drain ? "\"draining\"" : "\"ok\"") << ",\n";
-    out << "  \"draining\": " << (drain ? "true" : "false") << ",\n";
-    out << "  \"queue_depth\": " << depth << ",\n";
-    out << "  \"busy_workers\": " << busy << ",\n";
-    out << "  \"workers\": " << workers_.size() << ",\n";
-    out << "  \"designs\": " << designs << ",\n";
-    out << "  \"uptime_seconds\": "
-        << format_double(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                       start_)
-                             .count(),
-                         6)
-        << "\n";
-    out << "}\n";
-    return out.str();
+    const double uptime =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+    json_writer out;
+    return out.begin_object()
+        .key("command").value("health")
+        .key("status").value(drain ? "draining" : "ok")
+        .key("draining").value(drain)
+        .key("queue_depth").value(depth)
+        .key("busy_workers").value(busy)
+        .key("workers").value(workers_.size())
+        .key("designs").value(designs)
+        .key("uptime_seconds").value(uptime)
+        .end_object()
+        .take();
 }
 
 } // namespace tsg

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <sstream>
 
 #include "util/error.h"
 #include "util/strings.h"
@@ -10,6 +9,26 @@
 namespace tsg {
 
 namespace {
+
+/// Appends `cp` encoded as UTF-8.
+void append_utf8(std::string& out, std::uint32_t cp)
+{
+    if (cp < 0x80) {
+        out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+        out += static_cast<char>(0xC0 | (cp >> 6));
+        out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+        out += static_cast<char>(0xE0 | (cp >> 12));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+        out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+        out += static_cast<char>(0xF0 | (cp >> 18));
+        out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+        out += static_cast<char>(0x80 | (cp & 0x3F));
+    }
+}
 
 /// Reading position over one document.  Every check throws only when it
 /// fails: the diagnostic strings are built on the error path, never per
@@ -62,52 +81,88 @@ struct cursor {
         if (pos == start) fail("malformed JSON value");
         return start;
     }
-    /// Consumes a string, handing each decoded character to `emit`.
-    /// \n, \t and \r decode to their control characters; any other escaped
-    /// character stands for itself (so \" \\ \/ decode as usual, and \u0041
-    /// decodes to "u0041").
-    template <typename Emit>
-    void scan_string(Emit&& emit)
+    /// Consumes the four hex digits of a \u escape.
+    std::uint32_t scan_hex4()
+    {
+        if (text.size() - pos < 4) fail("truncated \\u escape");
+        std::uint32_t unit = 0;
+        for (int i = 0; i < 4; ++i) {
+            const char c = text[pos++];
+            unit <<= 4;
+            if (c >= '0' && c <= '9')
+                unit |= static_cast<std::uint32_t>(c - '0');
+            else if (c >= 'a' && c <= 'f')
+                unit |= static_cast<std::uint32_t>(c - 'a' + 10);
+            else if (c >= 'A' && c <= 'F')
+                unit |= static_cast<std::uint32_t>(c - 'A' + 10);
+            else
+                fail("bad hex digit in \\u escape");
+        }
+        return unit;
+    }
+    /// Consumes the rest of a \u escape (after the "\u") and returns its
+    /// code point; a high surrogate must be followed by an escaped low one.
+    std::uint32_t scan_code_point()
+    {
+        const std::uint32_t unit = scan_hex4();
+        if (unit >= 0xDC00 && unit <= 0xDFFF) fail("unpaired low surrogate in \\u escape");
+        if (unit < 0xD800 || unit > 0xDBFF) return unit;
+        if (!take("\\u", 2)) fail("unpaired high surrogate in \\u escape");
+        const std::uint32_t low = scan_hex4();
+        if (low < 0xDC00 || low > 0xDFFF) fail("unpaired high surrogate in \\u escape");
+        return 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+    }
+    /// Consumes a string and returns its decoded content.  Unknown escapes
+    /// stand for the escaped character itself.
+    std::string scan_string()
     {
         expect('"');
+        std::string out;
         while (true) {
-            if (pos >= text.size()) fail("unterminated string");
-            const char c = text[pos++];
-            if (c == '"') return;
-            if (c != '\\') {
-                emit(c);
-                continue;
-            }
+            const std::size_t special = text.find_first_of("\"\\", pos);
+            if (special == std::string::npos) fail("unterminated string");
+            out.append(text, pos, special - pos);
+            pos = special + 1;
+            if (text[special] == '"') return out;
             if (pos >= text.size()) fail("dangling escape");
             const char e = text[pos++];
             switch (e) {
-            case 'n': emit('\n'); break;
-            case 't': emit('\t'); break;
-            case 'r': emit('\r'); break;
-            default: emit(e); break;
+            case 'n': out += '\n'; break;
+            case 't': out += '\t'; break;
+            case 'r': out += '\r'; break;
+            case 'b': out += '\b'; break;
+            case 'f': out += '\f'; break;
+            case 'u': append_utf8(out, scan_code_point()); break;
+            default: out += e; break;
             }
         }
     }
 };
 
-/// Appends `c` as json_quote spells it inside a string literal.
-void append_escaped(std::string& out, char c)
+/// Appends `s` as a JSON string literal's content.
+void append_escaped(std::string& out, std::string_view s)
 {
-    switch (c) {
-    case '"': out += "\\\""; break;
-    case '\\': out += "\\\\"; break;
-    case '\n': out += "\\n"; break;
-    case '\t': out += "\\t"; break;
-    case '\r': out += "\\r"; break;
-    default: out += c; break;
+    static constexpr char hex[] = "0123456789abcdef";
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\') continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
+        switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\t': out += "\\t"; break;
+        case '\r': out += "\\r"; break;
+        default: {
+            const char escape[] = {'\\', 'u', '0', '0', hex[c >> 4], hex[c & 0xF]};
+            out.append(escape, sizeof escape);
+            break;
+        }
+        }
     }
-}
-
-std::string parse_string(cursor& in)
-{
-    std::string out;
-    in.scan_string([&](char c) { out += c; });
-    return out;
+    out.append(s.data() + run, s.size() - run);
 }
 
 json_value parse_value(cursor& in)
@@ -119,7 +174,7 @@ json_value parse_value(cursor& in)
         v.k = json_value::kind::object_v;
         if (in.peek() != '}') {
             while (true) {
-                std::string key = parse_string(in);
+                std::string key = in.scan_string();
                 in.expect(':');
                 v.members.emplace_back(std::move(key), parse_value(in));
                 if (in.peek() != ',') break;
@@ -144,7 +199,7 @@ json_value parse_value(cursor& in)
     }
     if (c == '"') {
         v.k = json_value::kind::string_v;
-        v.text = parse_string(in);
+        v.text = in.scan_string();
         return v;
     }
     if (in.take("true", 4)) {
@@ -163,74 +218,29 @@ json_value parse_value(cursor& in)
     return v;
 }
 
-/// Writes the string at the cursor as write() re-quotes its decoded text.
-void compact_string(cursor& in, std::string& out)
+void write_value(json_writer& out, const json_value& v)
 {
-    out += '"';
-    in.scan_string([&](char c) { append_escaped(out, c); });
-    out += '"';
-}
-
-/// parse_value() and write() fused: the same grammar walked in the same
-/// order (so the same diagnostics), appending the compact rendering
-/// instead of building nodes.
-void compact_value(cursor& in, std::string& out)
-{
-    const char c = in.peek();
-    if (c == '{') {
-        in.expect('{');
-        out += '{';
-        if (in.peek() != '}') {
-            while (true) {
-                compact_string(in, out);
-                in.expect(':');
-                out += ": ";
-                compact_value(in, out);
-                if (in.peek() != ',') break;
-                in.expect(',');
-                out += ", ";
-            }
-        }
-        in.expect('}');
-        out += '}';
-        return;
+    switch (v.k) {
+    case json_value::kind::null_v: out.raw("null"); break;
+    case json_value::kind::bool_v: out.value(v.boolean); break;
+    case json_value::kind::number_v: out.raw(v.text); break;
+    case json_value::kind::string_v: out.value(v.text); break;
+    case json_value::kind::array_v:
+        out.begin_array();
+        for (const json_value& item : v.items) write_value(out, item);
+        out.end_array();
+        break;
+    case json_value::kind::object_v:
+        out.begin_object();
+        for (const auto& [name, member] : v.members) write_value(out.key(name), member);
+        out.end_object();
+        break;
     }
-    if (c == '[') {
-        in.expect('[');
-        out += '[';
-        if (in.peek() != ']') {
-            while (true) {
-                compact_value(in, out);
-                if (in.peek() != ',') break;
-                in.expect(',');
-                out += ", ";
-            }
-        }
-        in.expect(']');
-        out += ']';
-        return;
-    }
-    if (c == '"') {
-        compact_string(in, out);
-        return;
-    }
-    if (in.take("true", 4)) {
-        out += "true";
-        return;
-    }
-    if (in.take("false", 5)) {
-        out += "false";
-        return;
-    }
-    if (in.take("null", 4)) {
-        out += "null";
-        return;
-    }
-    const std::size_t start = in.scan_number();
-    out.append(in.text, start, in.pos - start);
 }
 
 } // namespace
+
+// --- json_value ---------------------------------------------------------------
 
 const json_value* json_value::find(const std::string& key) const
 {
@@ -238,8 +248,6 @@ const json_value* json_value::find(const std::string& key) const
         if (name == key) return &value;
     return nullptr;
 }
-
-json_value json_value::null() { return {}; }
 
 json_value json_value::boolean_value(bool b)
 {
@@ -252,12 +260,6 @@ json_value json_value::boolean_value(bool b)
 json_value json_value::number(std::int64_t v) { return raw_number(std::to_string(v)); }
 
 json_value json_value::number(std::uint64_t v) { return raw_number(std::to_string(v)); }
-
-json_value json_value::number(double v, int decimals)
-{
-    if (!std::isfinite(v)) return null(); // JSON has no inf/nan literal
-    return raw_number(format_double(v, decimals));
-}
 
 json_value json_value::raw_number(std::string spelling)
 {
@@ -317,30 +319,9 @@ bool json_value::operator==(const json_value& other) const
 
 std::string json_value::write() const
 {
-    std::ostringstream os;
-    switch (k) {
-    case kind::null_v: os << "null"; break;
-    case kind::bool_v: os << (boolean ? "true" : "false"); break;
-    case kind::number_v: os << text; break;
-    case kind::string_v: os << json_quote(text); break;
-    case kind::array_v: {
-        os << '[';
-        for (std::size_t i = 0; i < items.size(); ++i)
-            os << (i ? ", " : "") << items[i].write();
-        os << ']';
-        break;
-    }
-    case kind::object_v: {
-        os << '{';
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            os << (i ? ", " : "") << json_quote(members[i].first) << ": "
-               << members[i].second.write();
-        }
-        os << '}';
-        break;
-    }
-    }
-    return os.str();
+    json_writer out;
+    write_value(out, *this);
+    return out.take();
 }
 
 json_value json_parse(const std::string& text, const std::string& context)
@@ -352,25 +333,74 @@ json_value json_parse(const std::string& text, const std::string& context)
     return v;
 }
 
-std::string json_compact(const std::string& text, const std::string& context)
+// --- json_writer --------------------------------------------------------------
+
+void json_writer::separate()
 {
-    cursor in{text, context};
-    std::string out;
-    out.reserve(text.size());
-    compact_value(in, out);
-    in.skip_ws();
-    if (in.pos != text.size()) in.fail("trailing garbage after the document");
-    return out;
+    if (!after_key_ && !first_ && !closers_.empty()) out_ += ", ";
+    after_key_ = false;
+    first_ = false;
 }
 
-std::string json_quote(const std::string& s)
+json_writer& json_writer::open(char opener, char closer)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    out += '"';
-    for (const char c : s) append_escaped(out, c);
-    out += '"';
-    return out;
+    separate();
+    out_ += opener;
+    closers_ += closer;
+    first_ = true;
+    return *this;
 }
+
+json_writer& json_writer::close(char closer)
+{
+    ensure(!closers_.empty() && closers_.back() == closer && !after_key_,
+           "json_writer: closing a scope that is not open (or a key without a value)");
+    closers_.pop_back();
+    out_ += closer;
+    first_ = false; // the closed scope was an item of the enclosing one
+    return *this;
+}
+
+json_writer& json_writer::key(std::string_view name)
+{
+    separate();
+    out_ += '"';
+    append_escaped(out_, name);
+    out_ += "\": ";
+    after_key_ = true;
+    return *this;
+}
+
+json_writer& json_writer::value(std::string_view s)
+{
+    separate();
+    out_ += '"';
+    append_escaped(out_, s);
+    out_ += '"';
+    return *this;
+}
+
+json_writer& json_writer::value(double v)
+{
+    if (!std::isfinite(v)) return raw("null");
+    return raw(format_double(v, 6));
+}
+
+json_writer& json_writer::raw(std::string_view spelling)
+{
+    separate();
+    out_ += spelling;
+    return *this;
+}
+
+std::string json_writer::take()
+{
+    ensure(closers_.empty() && !after_key_,
+           "json_writer: taking a document whose scopes are still open");
+    first_ = true;
+    return std::exchange(out_, {});
+}
+
+std::string json_quote(const std::string& s) { return json_writer().value(s).take(); }
 
 } // namespace tsg

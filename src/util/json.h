@@ -1,27 +1,35 @@
-// Minimal JSON document model shared by every machine-readable surface.
+// Minimal JSON document model and writer shared by every machine-readable
+// surface.
 //
-// One recursive value type (json_value), one recursive-descent parser and
-// one writer serve the unified request/response codec (core/api.h), the
-// edit-script parser and the service's NDJSON framing; json_compact() runs
-// parser and writer as one pass for documents that are only passed
-// through (response payloads).  Scope is exactly
-// what those surfaces need — in-memory strings, exact number spellings,
-// insertion-ordered objects — not a general-purpose JSON library:
+// One recursive value type (json_value) and one recursive-descent parser
+// serve the unified request/response codec (core/api.h), the edit-script
+// parser and the service's NDJSON framing.  One streaming writer
+// (json_writer) renders every document the library emits — the response
+// envelope, every payload, and json_value::write() itself — in the one
+// compact layout: a single line, ", " between items, ": " after keys.
+// A payload is therefore written once, in its wire form, and the response
+// envelope splices it in unchanged.  Scope is exactly what those surfaces
+// need — in-memory strings, exact number spellings, insertion-ordered
+// objects — not a general-purpose JSON library:
 //
 //   * numbers keep their raw spelling (text), so integer arc ids and exact
 //     "num/den"-adjacent values never round-trip through double;
 //   * object members preserve insertion order (find() is linear — the
 //     documents here have a handful of keys);
-//   * write() emits a compact single-line rendering whose re-parse
-//     reproduces the value exactly (the NDJSON framing guarantee);
+//   * strings decode every JSON escape (\uXXXX to UTF-8, surrogate pairs
+//     joined) and are written back with every byte below 0x20 escaped, so
+//     parse(write(v)) == v and strict parsers accept what write() emits;
 //   * parse errors throw tsg::error with a caller-supplied context prefix,
 //     so "edit script: unexpected end of JSON" keeps naming the surface
 //     the malformed text came from.
 #ifndef TSG_UTIL_JSON_H
 #define TSG_UTIL_JSON_H
 
+#include <charconv>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,11 +49,9 @@ struct json_value {
 
     // --- builders ----------------------------------------------------------
 
-    [[nodiscard]] static json_value null();
     [[nodiscard]] static json_value boolean_value(bool b);
     [[nodiscard]] static json_value number(std::int64_t v);
     [[nodiscard]] static json_value number(std::uint64_t v);
-    [[nodiscard]] static json_value number(double v, int decimals = 6); ///< non-finite -> null
     /// A number from its exact raw spelling (caller guarantees validity).
     [[nodiscard]] static json_value raw_number(std::string spelling);
     [[nodiscard]] static json_value string(std::string s);
@@ -63,7 +69,7 @@ struct json_value {
     /// the codec round-trip tests.
     [[nodiscard]] bool operator==(const json_value& other) const;
 
-    /// Compact single-line rendering; parse(write()) == *this.
+    /// The json_writer rendering; parse(write()) == *this.
     [[nodiscard]] std::string write() const;
 };
 
@@ -72,13 +78,67 @@ struct json_value {
 [[nodiscard]] json_value json_parse(const std::string& text,
                                     const std::string& context = "json");
 
-/// json_parse(text, context).write() in one validating pass that builds
-/// no tree: the same grammar, the same string decoding and re-quoting (an
-/// escaped '/' comes out as "/", an escaped "u0041" as "u0041"), raw
-/// number spellings, and the same diagnostics for the same malformed
-/// input.
-[[nodiscard]] std::string json_compact(const std::string& text,
-                                       const std::string& context = "json");
+/// Streams one JSON document in the compact layout: every item after the
+/// first of an object or array is preceded by ", ", and every key is
+/// followed by ": ".  Closing a scope that is not the innermost open one,
+/// or taking a document whose scopes are still open, is an ensure failure.
+class json_writer {
+public:
+    json_writer& begin_object() { return open('{', '}'); }
+    json_writer& end_object() { return close('}'); }
+    json_writer& begin_array() { return open('[', ']'); }
+    json_writer& end_array() { return close(']'); }
+
+    /// An object member's key; the next value written is its value.
+    json_writer& key(std::string_view name);
+
+    /// A string, escaped: ", \ and \n, \t, \r by name, every other byte
+    /// below 0x20 as \u00XX.
+    json_writer& value(std::string_view s);
+    json_writer& value(const char* s) { return value(std::string_view(s)); }
+    json_writer& value(bool b) { return raw(b ? "true" : "false"); }
+
+    template <typename T>
+        requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+    json_writer& value(T v)
+    {
+        char buffer[24];
+        const char* end = std::to_chars(buffer, buffer + sizeof buffer, v).ptr;
+        return raw(std::string_view(buffer, static_cast<std::size_t>(end - buffer)));
+    }
+
+    /// format_double(v, 6); NaN and infinities as null (JSON has no
+    /// literal for them).
+    json_writer& value(double v);
+
+    template <typename T>
+    json_writer& value(const std::vector<T>& values)
+    {
+        begin_array();
+        for (const T& v : values) value(v);
+        return end_array();
+    }
+
+    /// A value spelled exactly as given: an exact number spelling, null, or
+    /// a complete document from another json_writer.
+    json_writer& raw(std::string_view spelling);
+
+    /// Sizes the buffer once, for a writer about to splice a large payload.
+    json_writer& reserve(std::size_t bytes) { out_.reserve(bytes); return *this; }
+
+    /// The finished document; the writer is left empty.
+    [[nodiscard]] std::string take();
+
+private:
+    void separate(); ///< writes the separator the next item needs
+    json_writer& open(char opener, char closer);
+    json_writer& close(char closer);
+
+    std::string out_;
+    std::string closers_;    ///< one per open scope, innermost last
+    bool first_ = true;      ///< the innermost scope has no item yet
+    bool after_key_ = false; ///< a key is waiting for its value
+};
 
 /// Quotes and escapes a string for embedding in a JSON document.
 [[nodiscard]] std::string json_quote(const std::string& s);

@@ -1,7 +1,10 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+
+#include "util/error.h"
 
 namespace tsg {
 
@@ -53,6 +56,17 @@ std::string format_double(double value, int decimals)
         if (!out.empty() && out.back() == '.') out.pop_back();
     }
     return out;
+}
+
+std::uint64_t parse_count(const std::string& flag, const std::string& text, std::uint64_t max)
+{
+    std::uint64_t value = 0;
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    require(ec == std::errc{} && end == last && value <= max,
+            flag + " needs a whole number from 0 to " + std::to_string(max) + ", got '" +
+                text + "'");
+    return value;
 }
 
 } // namespace tsg

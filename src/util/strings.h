@@ -2,6 +2,8 @@
 #ifndef TSG_UTIL_STRINGS_H
 #define TSG_UTIL_STRINGS_H
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +27,13 @@ namespace tsg {
 /// Formats a double with the given number of significant decimals, trimming
 /// trailing zeros ("6.67", "10", "9.5").
 [[nodiscard]] std::string format_double(double value, int decimals = 4);
+
+/// Parses the value of a count flag: plain decimal digits (no sign, no
+/// trailing characters) no larger than `max`.  Throws tsg::error naming
+/// `flag` otherwise.
+[[nodiscard]] std::uint64_t parse_count(const std::string& flag, const std::string& text,
+                                        std::uint64_t max =
+                                            std::numeric_limits<std::uint64_t>::max());
 
 } // namespace tsg
 

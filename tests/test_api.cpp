@@ -4,18 +4,16 @@
 // malformed documents with stable structured-error codes, and the
 // classify_error contract the tool and the service both lean on.
 //
-// The response encoder splices payloads through json_compact instead of a
-// json_value tree; the JsonCompact tests pin it to the tree path
-// (json_parse(x).write()) over goldens, every payload kind, edge cases and
-// fuzzed corruptions of them, and pin analysis_response_json to the
-// tree-built envelope byte for byte.
+// Every payload is written by json_writer in its wire form and the
+// response envelope splices it in unchanged, so the payload fuzz pins each
+// renderer to the wire layout (json_parse(p).write() == p, no repeated
+// key) and the envelope test pins analysis_response_json to the tree-built
+// envelope byte for byte.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -147,16 +145,19 @@ TEST(ApiCodec, FuzzedRequestsRoundTrip)
     }
 }
 
-/// Expects parsing to throw a diagnostic classified under `code`.
-void expect_rejected(const std::string& text, const std::string& code)
+/// Expects parsing to throw a diagnostic classified under `code`, and
+/// returns the diagnostic.
+std::string expect_rejected(const std::string& text, const std::string& code)
 {
     try {
         (void)parse_analysis_request(text);
-        FAIL() << "accepted: " << text;
+        ADD_FAILURE() << "accepted: " << text;
     } catch (const error& e) {
         EXPECT_EQ(classify_error(e.what(), "bad_request").code, code)
             << "diagnostic: " << e.what();
+        return e.what();
     }
+    return {};
 }
 
 TEST(ApiCodec, MalformedDocumentsRejectWithStableCodes)
@@ -197,6 +198,46 @@ TEST(ApiCodec, MalformedDocumentsRejectWithStableCodes)
         R"({"api_version": 1, "kind": "montecarlo",)"
         R"( "options": {"samples": 99999999999999999999}})",
         "bad_request");
+    // A value the option's own type cannot hold is out of range too, never
+    // narrowed into a different option value.
+    const std::pair<const char*, const char*> too_wide[] = {
+        {"lane_width", "4294967304"},          // 2^32 + 8
+        {"max_threads", "4294967297"},         // 2^32 + 1
+        {"resolution", "9223372036854775808"}, // 2^63
+    };
+    for (const auto& [field, value] : too_wide) {
+        const std::string diagnostic = expect_rejected(
+            std::string(R"({"api_version": 1, "kind": "montecarlo", "options": {")") + field +
+                "\": " + value + "}}",
+            "bad_request");
+        EXPECT_NE(diagnostic.find(std::string("\"") + field + "\" is out of range"),
+                  std::string::npos)
+            << diagnostic;
+    }
+    // Malformed \u escapes.
+    expect_rejected(R"({"api_version": 1, "kind": "sweep", "id": "\u00g9"})", "bad_request");
+    expect_rejected(R"({"api_version": 1, "kind": "sweep", "id": "\ud83d"})", "bad_request");
+    expect_rejected(R"({"api_version": 1, "kind": "sweep", "id": "\ude00"})", "bad_request");
+}
+
+TEST(ApiCodec, IdsSurviveEveryByteAndUnicodeEscapes)
+{
+    // Every byte value, escaped on the way out and decoded on the way back
+    // in.
+    analysis_request request;
+    for (int b = 0; b < 256; ++b) request.id += static_cast<char>(b);
+    const std::string text = analysis_request_json(request).write();
+    for (const char c : text) EXPECT_GE(static_cast<unsigned char>(c), 0x20) << text;
+    EXPECT_EQ(parse_analysis_request(text).id, request.id);
+
+    const analysis_request escaped =
+        parse_analysis_request(R"({"api_version": 1, "kind": "analyze", "id": "caf\u00e9"})");
+    EXPECT_EQ(escaped.id, "caf\xc3\xa9");
+    analysis_response response;
+    response.id = escaped.id + "\x01";
+    EXPECT_EQ(json_parse(analysis_response_json(response)).find("id")->text, response.id);
+    EXPECT_NE(analysis_response_json(response).find("\"id\": \"caf\xc3\xa9\\u0001\""),
+              std::string::npos);
 }
 
 TEST(ApiCodec, TruncationFuzzNeverCrashes)
@@ -266,7 +307,7 @@ TEST(ApiCodec, ResponseSerializationEmbedsPayloadAndErrors)
     analysis_response ok;
     ok.id = "r1";
     ok.ok = true;
-    ok.payload = "{\n  \"command\": \"analyze\",\n  \"cycle_time\": {\"exact\": \"10\"}\n}\n";
+    ok.payload = R"({"command": "analyze", "cycle_time": {"exact": "10"}})";
     ok.design_version = 3;
     ok.scenarios = 16;
     ok.coalesced = true;
@@ -285,56 +326,7 @@ TEST(ApiCodec, ResponseSerializationEmbedsPayloadAndErrors)
     EXPECT_EQ(bad_doc.find("payload"), nullptr);
 }
 
-// --- tree-free response encoding ---------------------------------------------
-
-/// Either the compact rendering or the diagnostic of a rejected document.
-struct compact_outcome {
-    bool ok = false;
-    std::string text;
-};
-
-compact_outcome via_tree(const std::string& text)
-{
-    try {
-        return {true, json_parse(text, "doc").write()};
-    } catch (const error& e) {
-        return {false, e.what()};
-    }
-}
-
-compact_outcome via_compact(const std::string& text)
-{
-    try {
-        return {true, json_compact(text, "doc")};
-    } catch (const error& e) {
-        return {false, e.what()};
-    }
-}
-
-/// Asserts json_compact agrees with the tree path on `text` — the same
-/// bytes, or the same diagnostic — and returns whether it compacted.
-bool expect_compacts_like_tree(const std::string& text, const std::string& label)
-{
-    const compact_outcome tree = via_tree(text);
-    const compact_outcome compact = via_compact(text);
-    EXPECT_EQ(compact.ok, tree.ok) << label << "\n" << compact.text << "\n" << tree.text;
-    EXPECT_EQ(compact.text, tree.text) << label;
-    return tree.ok;
-}
-
-std::vector<std::pair<std::string, std::string>> golden_documents()
-{
-    std::vector<std::pair<std::string, std::string>> docs;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(std::string(TSG_SOURCE_DIR) + "/tests/golden")) {
-        std::ifstream in(entry.path());
-        std::ostringstream text;
-        text << in.rdbuf();
-        docs.emplace_back(entry.path().filename().string(), text.str());
-    }
-    std::sort(docs.begin(), docs.end());
-    return docs;
-}
+// --- payloads and the response envelope ------------------------------------
 
 signal_graph random_design_256()
 {
@@ -395,109 +387,6 @@ const std::vector<analysis_response>& kind_responses(bool large)
     static const std::vector<analysis_response> responses =
         every_kind_responses(c_oscillator_sg());
     return responses;
-}
-
-std::vector<std::string> edge_case_documents()
-{
-    return {
-        R"("a\/b")",                // escaped solidus decodes to '/'
-        R"("\u0041")",              // the u-escape is not decoded: "u0041"
-        R"(["\b", "\f", "\"", "\\", "\n", "\t", "\r"])",
-        "\"raw\ttab and raw\rCR\"", // raw control characters get re-escaped
-        "\"raw\nnewline\"",
-        "{}",
-        "[]",
-        "{\"a\": {}, \"b\": [], \"c\": [[], [[1, 2], [3]], {}]}",
-        "[1e10, -2.5E-3, 6.02e+23, 0, -0, 1.5]",
-        "{\r\n  \"a\": 1,\r\n  \"b\": [true,\r\n false, null]\r\n}\r\n",
-        " \t\n{\"nested\": {\"deeper\": {\"deepest\": [\"x\"]}}} \n",
-        "1.2.3",     // raw spellings are kept, not validated
-        "[+-, e]",   // (the consumer checks them)
-        "{\"dup\": 1, \"dup\": 2}",
-        // Rejected documents: both paths must throw the same diagnostic.
-        "",
-        "   ",
-        "truex",
-        "[1 2]",
-        "[1,]",
-        "{\"a\" 1}",
-        "{\"a\": }",
-        "{1: 2}",
-        "\"unterminated",
-        "\"dangling\\",
-        "[\"a\"",
-        "{\"a\": [}",
-        "nul",
-        "@",
-        "{} {}",
-    };
-}
-
-TEST(JsonCompact, SpellsTheTreeWritersEscapeQuirks)
-{
-    EXPECT_EQ(json_compact(R"("a\/b")"), R"("a/b")");
-    EXPECT_EQ(json_compact(R"("\u0041")"), R"("u0041")");
-    EXPECT_EQ(json_compact(R"("\b")"), R"("b")");
-    EXPECT_EQ(json_compact("\"a\tb\rc\""), R"("a\tb\rc")");
-    EXPECT_EQ(json_compact("{\r\n \"a\" :[1 ,{}],\"b\":[ ]}\r\n"),
-              R"({"a": [1, {}], "b": []})");
-    EXPECT_EQ(json_compact("[1e10,-2.5E-3]"), "[1e10, -2.5E-3]");
-}
-
-TEST(JsonCompact, MatchesTheTreeOnEdgeCases)
-{
-    for (const std::string& doc : edge_case_documents()) expect_compacts_like_tree(doc, doc);
-}
-
-TEST(JsonCompact, MatchesTheTreeOnEveryGoldenFile)
-{
-    const auto goldens = golden_documents();
-    ASSERT_GE(goldens.size(), 10u);
-    for (const auto& [name, text] : goldens)
-        EXPECT_TRUE(expect_compacts_like_tree(text, name)) << name;
-}
-
-TEST(JsonCompact, MatchesTheTreeOnEveryPayloadKind)
-{
-    for (const bool large : {false, true})
-        for (const analysis_response& response : kind_responses(large))
-            EXPECT_TRUE(expect_compacts_like_tree(response.payload, response.id))
-                << response.id << (large ? " (n=256)" : " (oscillator)");
-}
-
-TEST(JsonCompact, TruncatedAndMutatedDocumentsCompactOrFailIdentically)
-{
-    std::vector<std::string> corpus = edge_case_documents();
-    for (auto& [name, text] : golden_documents()) corpus.push_back(text);
-    for (const analysis_response& response : kind_responses(false))
-        corpus.push_back(response.payload);
-
-    // Structural characters dominate the mutation alphabet: they are what
-    // moves a document between the grammar's branches.
-    const std::string alphabet = "{}[]\",:\\/ \t\r\n0123456789+-.eEtrufalsn";
-    prng rng(20261017);
-    std::size_t accepted = 0;
-    std::size_t rejected = 0;
-    for (const std::string& doc : corpus) {
-        const std::size_t stride = std::max<std::size_t>(1, doc.size() / 400);
-        for (std::size_t cut = 0; cut < doc.size(); cut += stride)
-            (expect_compacts_like_tree(doc.substr(0, cut), "truncated") ? accepted : rejected)++;
-        for (int i = 0; i < 120 && !doc.empty(); ++i) {
-            std::string mutated = doc;
-            const std::size_t pos = rng.index(mutated.size());
-            const char c = rng.chance(0.8) ? alphabet[rng.index(alphabet.size())]
-                                            : static_cast<char>(rng.uniform(1, 255));
-            switch (rng.uniform(0, 2)) {
-            case 0: mutated[pos] = c; break;
-            case 1: mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(pos), c); break;
-            default: mutated.erase(pos, 1); break;
-            }
-            (expect_compacts_like_tree(mutated, "mutated") ? accepted : rejected)++;
-        }
-    }
-    // Both outcomes were exercised in bulk.
-    EXPECT_GT(accepted, 100u);
-    EXPECT_GT(rejected, 1000u);
 }
 
 /// Reference spelling of elapsed_ms: the codec's shortest exact %g form.
@@ -566,28 +455,147 @@ TEST(ApiCodec, ResponseEnvelopeIsByteEqualToTheTreeBuiltReference)
     for (const analysis_response& r : responses)
         EXPECT_EQ(analysis_response_json(r), tree_response_json(r)) << r.id;
 
-    // An ok response with a malformed payload fails with the tree's diagnostic.
-    analysis_response broken;
-    broken.ok = true;
-    broken.payload = "{\"a\": [1, 2}";
-    std::string tree_error;
-    std::string compact_error;
-    try {
-        (void)tree_response_json(broken);
-    } catch (const error& e) {
-        tree_error = e.what();
-    }
-    try {
-        (void)analysis_response_json(broken);
-    } catch (const error& e) {
-        compact_error = e.what();
-    }
-    EXPECT_FALSE(tree_error.empty());
-    EXPECT_EQ(compact_error, tree_error);
-
     EXPECT_EQ(api_error_json({"overloaded", "queue \"full\"", 3}),
               R"({"error": {"code": "overloaded", "message": "queue \"full\"", )"
               R"("retry_after_ms": 3}})");
+}
+
+// --- payload fuzz -------------------------------------------------------------
+
+/// Fails when an object anywhere in `v` repeats a key.
+void expect_unique_keys(const json_value& v, const std::string& where)
+{
+    std::set<std::string> seen;
+    for (const auto& [key, member] : v.members) {
+        EXPECT_TRUE(seen.insert(key).second) << where << ": repeated key \"" << key << "\"";
+        expect_unique_keys(member, where);
+    }
+    for (const json_value& item : v.items) expect_unique_keys(item, where);
+}
+
+/// An edit script of one to three batches of random edits on `sg`; some
+/// batches are rejected (token-free cycles, arcs removed twice), and the
+/// labels carry characters the writer must escape.
+json_value random_edit_script(prng& rng, const signal_graph& sg)
+{
+    const char* const labels[] = {"plain", "quote\" back\\slash", "ctl\x01\x1f",
+                                  "caf\xc3\xa9"};
+    const auto event = [&] {
+        return json_value::string(sg.event(static_cast<event_id>(rng.index(sg.event_count()))).name);
+    };
+    const auto arc = [&] { return json_value::number(std::uint64_t{rng.index(sg.arc_count())}); };
+    json_value batches = json_value::array();
+    for (std::int64_t b = rng.uniform(1, 3); b > 0; --b) {
+        json_value edits = json_value::array();
+        for (std::int64_t e = rng.uniform(1, 2); e > 0; --e) {
+            json_value& edit = edits.push(json_value::object());
+            const std::string delay = std::to_string(rng.uniform(0, 20)) + "/" +
+                                      std::to_string(rng.uniform(1, 4));
+            switch (rng.uniform(0, 3)) {
+            case 0:
+                edit.set("op", json_value::string("set_delay"));
+                edit.set("arc", arc());
+                edit.set("delay", json_value::string(delay));
+                break;
+            case 1:
+                edit.set("op", json_value::string("add_arc"));
+                edit.set("from", event());
+                edit.set("to", event());
+                edit.set("delay", json_value::string(delay));
+                edit.set("marked", json_value::boolean_value(rng.chance(0.5)));
+                break;
+            case 2:
+                edit.set("op", json_value::string("set_marking"));
+                edit.set("arc", arc());
+                edit.set("marked", json_value::boolean_value(rng.chance(0.5)));
+                break;
+            default:
+                edit.set("op", json_value::string("remove_arc"));
+                edit.set("arc", arc());
+                break;
+            }
+        }
+        json_value& batch = batches.push(json_value::object());
+        batch.set("label", json_value::string(labels[rng.index(std::size(labels))]));
+        batch.set("edits", std::move(edits));
+    }
+    json_value script = json_value::object();
+    script.set("batches", std::move(batches));
+    return script;
+}
+
+/// A seeded request of a random payload kind with small, random options.
+analysis_request random_payload_request(prng& rng, const signal_graph& sg)
+{
+    const request_kind kinds[] = {request_kind::analyze,     request_kind::sweep,
+                                  request_kind::montecarlo,  request_kind::criticality,
+                                  request_kind::optimize,    request_kind::report_topk,
+                                  request_kind::edit};
+    const cycle_time_solver solvers[] = {cycle_time_solver::auto_select,
+                                         cycle_time_solver::border_sweep,
+                                         cycle_time_solver::howard};
+    const unsigned lanes[] = {0, 1, 2, 4, 8, 16};
+    analysis_request r;
+    r.kind = kinds[rng.index(std::size(kinds))];
+    request_options& o = r.options;
+    o.solver = solvers[rng.index(std::size(solvers))];
+    o.max_threads = static_cast<unsigned>(rng.uniform(1, 2));
+    o.lane_width = lanes[rng.index(std::size(lanes))];
+    o.with_slack = rng.chance(0.5);
+    o.with_witness = rng.chance(0.5);
+    o.factor = rational(rng.uniform(1, 5), 10);
+    o.samples = static_cast<std::size_t>(rng.uniform(1, 64));
+    o.seed = rng.next();
+    o.spread = rational(rng.uniform(0, 3), 10);
+    o.resolution = std::int64_t{1} << rng.uniform(0, 6);
+    o.adaptive = r.kind == request_kind::montecarlo && rng.chance(0.5);
+    o.epsilon = rng.chance(0.5) ? 0.05 : 0.01 + 0.5 * rng.uniform01();
+    o.quantile = rng.chance(0.5) ? -1.0 : rng.uniform01();
+    o.round_samples = static_cast<std::size_t>(8 * rng.uniform(0, 4));
+    o.min_samples = static_cast<std::size_t>(rng.uniform(1, 32));
+    o.criticality = rng.chance(0.3);
+    o.group_by_signal = rng.chance(0.3);
+    o.mode = rng.chance(0.5) ? optimize_mode::deterministic : optimize_mode::statistical;
+    o.budget = rational(rng.uniform(1, 4));
+    o.step = rational(1);
+    o.target = rational(rng.uniform(0, 20));
+    o.min_delay = rational(rng.uniform(0, 1));
+    o.k = static_cast<std::size_t>(rng.uniform(1, 4));
+    if (r.kind == request_kind::edit) r.edits = random_edit_script(rng, sg);
+    return r;
+}
+
+TEST(PayloadFuzz, EveryPayloadIsWrittenInItsWireForm)
+{
+    random_sg_options opts;
+    opts.events = 64;
+    opts.extra_arcs = 64;
+    opts.seed = 5;
+    opts.border_limit = 4;
+    const signal_graph designs[] = {c_oscillator_sg(), random_marked_graph(opts)};
+
+    prng rng(20261017);
+    std::map<std::string, std::size_t> ok_by_kind;
+    for (int i = 0; i < 200; ++i) {
+        const signal_graph& sg = designs[i % 2];
+        const analysis_request request = random_payload_request(rng, sg);
+        const analysis_response response = execute_request(request, sg);
+        const std::string where = "request " + std::to_string(i) + " (" +
+                                  request_kind_name(request.kind) + "): " +
+                                  analysis_request_json(request).write();
+        if (!response.ok) {
+            // A refused request still answers with a structured code.
+            EXPECT_NE(response.error.code, "internal") << where << ": " << response.error.message;
+            continue;
+        }
+        ++ok_by_kind[request_kind_name(request.kind)];
+        const json_value doc = json_parse(response.payload, "payload");
+        EXPECT_EQ(doc.write(), response.payload) << where;
+        expect_unique_keys(doc, where);
+    }
+    // Every kind produced payloads, not just refusals.
+    EXPECT_EQ(ok_by_kind.size(), 7u);
+    for (const auto& [kind, count] : ok_by_kind) EXPECT_GE(count, 5u) << kind;
 }
 
 } // namespace

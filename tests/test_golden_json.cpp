@@ -1,12 +1,16 @@
 // Golden-file tests for the tsg_tool JSON surface (analyze / sweep /
-// montecarlo / criticality / edit): the documents are rendered through the
-// same unified-API executors the tool and the analysis service ship
-// (core/api.h) and compared against committed goldens under tests/golden/.
+// montecarlo / criticality / optimize / topk / edit): the documents are
+// rendered through the same unified-API executors the tool and the
+// analysis service ship (core/api.h) and compared against committed
+// goldens under tests/golden/.  Each golden holds the one-line wire
+// document exactly as the tool prints it (without the trailing newline)
+// and a response embeds it.
 //
 // The comparison normalizes both sides through a minimal JSON parser —
-// object keys are sorted and numbers round-trip through double — so key
-// order or float formatting can't silently drift while any value change
-// (a different cycle time, a lost field, a renamed key) still fails.
+// object keys are sorted and numbers round-trip through double — so any
+// value change (a different cycle time, a lost field, a renamed key)
+// fails here, while the CI drift guard (regenerate, then git diff) pins
+// the bytes themselves.
 //
 // Regenerating after an intentional format change:
 //   TSG_UPDATE_GOLDENS=1 ./build/test_golden_json

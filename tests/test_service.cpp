@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -336,6 +337,48 @@ TEST(Service, EditsCommitVersionsAndPinsStayAddressable)
     EXPECT_EQ(stale.error.code, "bad_request");
 }
 
+TEST(Service, OutOfRangeEditIndicesFailLikeOtherMalformedScripts)
+{
+    service_options options;
+    options.workers = 1;
+    analysis_service service(options);
+    service.register_design("chip", c_oscillator_sg());
+
+    const auto run_script = [&](const std::string& script) {
+        analysis_request edit = make_request(request_kind::edit, "e");
+        edit.edits = json_parse(script);
+        return service.execute(edit);
+    };
+    const analysis_response unknown_op = run_script(R"({"edits": [{"op": "warp", "arc": 3}]})");
+    ASSERT_FALSE(unknown_op.ok);
+    // 2^32 + 3 must not wrap to arc 3, and a value past 2^64 must not leak
+    // a standard-library exception.
+    for (const char* arc : {"4294967299", "99999999999999999999"}) {
+        const analysis_response r = run_script(
+            std::string(R"({"edits": [{"op": "set_delay", "arc": )") + arc +
+            R"(, "delay": "50"}]})");
+        EXPECT_FALSE(r.ok) << arc;
+        EXPECT_EQ(r.error.code, unknown_op.error.code) << arc << ": " << r.error.message;
+        EXPECT_EQ(r.error.message.rfind("edit script: ", 0), 0u) << r.error.message;
+    }
+    const service_metrics m = service.metrics();
+    EXPECT_EQ(m.versions, 1u);
+    EXPECT_EQ(m.edits_committed, 0u);
+}
+
+TEST(Service, DeadlinesBeyondTheClockNeverExpire)
+{
+    analysis_service service;
+    service.register_design("chip", c_oscillator_sg());
+    analysis_request request = make_request(request_kind::analyze, "far");
+    request.options.deadline_ms = 10000000000000; // about 317 years
+    const analysis_response far = service.execute(request);
+    EXPECT_TRUE(far.ok) << far.error.code << ": " << far.error.message;
+    request.options.deadline_ms = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_TRUE(service.execute(request).ok);
+    EXPECT_EQ(service.metrics().deadline_expired, 0u);
+}
+
 TEST(Service, LruEvictionTrimsChainsWithStructuredErrors)
 {
     const signal_graph sg = c_oscillator_sg();
@@ -558,7 +601,12 @@ TEST(Service, StatsPayloadReflectsTraffic)
         service.execute(make_request(request_kind::stats, "st"));
     ASSERT_TRUE(stats.ok) << stats.error.message;
     const json_value doc = json_parse(stats.payload, "stats payload");
+    EXPECT_EQ(doc.write(), stats.payload); // written in its wire form
     EXPECT_EQ(doc.find("command")->text, "stats");
+    const analysis_response health =
+        service.execute(make_request(request_kind::health, "h"));
+    ASSERT_TRUE(health.ok) << health.error.message;
+    EXPECT_EQ(json_parse(health.payload, "health payload").write(), health.payload);
     ASSERT_NE(doc.find("requests"), nullptr);
     EXPECT_GE(std::stoull(doc.find("requests")->find("total")->text), 6u);
     ASSERT_NE(doc.find("latency_us"), nullptr);
