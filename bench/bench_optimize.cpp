@@ -1,11 +1,22 @@
 // Optimizer and top-K reporting benchmark (core/optimize.h).
 //
-// Three workloads, all regression-gated through ci/check_perf.py:
+// Four workloads, all regression-gated through ci/check_perf.py:
 //
 //   deterministic — branch-and-bound budget allocation on a random marked
 //                   graph, timed as nominal evaluations per second, with
 //                   a replay round (same options twice, plus thread-count
 //                   variation) that must reproduce the plan bit for bit;
+//   designer      — the same search on a design shaped like perfbench's
+//                   designer_session (n = 256, m = 512, border limit 4,
+//                   budget 4, step 1, border solver, one thread).  It
+//                   reports det_speedup_vs_cold: evaluations x the median
+//                   cold lambda-only engine.evaluate time on the design,
+//                   over the run_optimize wall time (best of rounds) — how
+//                   much the warm Howard chain saves over a cold solve per
+//                   candidate, a ratio that does not depend on the
+//                   hardware (gated with --min det_speedup_vs_cold=2).  Its
+//                   plan must replay bit for bit across solvers {auto,
+//                   border, howard} x threads {1, 4};
 //   statistical   — the criticality-driven yield loop against a uniform
 //                   equal-split allocation of the same budget over the
 //                   same candidates, on a bottleneck field (many fast
@@ -162,6 +173,7 @@ signal_graph make_bottleneck_field(std::size_t rings, std::size_t stages)
 
 bool same_plan(const optimize_result& a, const optimize_result& b)
 {
+    if (a.exact != b.exact || a.evaluations != b.evaluations) return false;
     if (a.final_cycle_time != b.final_cycle_time) return false;
     if (a.budget_spent != b.budget_spent) return false;
     if (a.allocations.size() != b.allocations.size()) return false;
@@ -252,6 +264,60 @@ int main(int argc, char** argv)
               << (det_first.exact ? "exact" : "greedy") << ", " << det_evaluations
               << " evaluations, " << det_rate << " evaluations/s)\n";
 
+    // --- designer-shaped deterministic optimize: speed-up vs cold solves --
+    random_sg_options dopts;
+    dopts.events = 256;
+    dopts.extra_arcs = 256;
+    dopts.seed = seed;
+    dopts.border_limit = 4;
+    const signal_graph designer_sg = random_marked_graph(dopts);
+    const compiled_graph designer_cg(designer_sg);
+    const scenario_engine designer_engine(designer_cg);
+
+    optimize_options designer = det;
+    designer.min_delay = rational(0);
+    designer.solver = cycle_time_solver::border_sweep;
+    designer.max_threads = 1;
+    const optimize_result designer_first = run_optimize(designer_sg, designer_engine, designer);
+    double designer_seconds = 0;
+    for (int r = 0; r < rounds; ++r) {
+        const auto start = clock_type::now();
+        const optimize_result plan = run_optimize(designer_sg, designer_engine, designer);
+        const double elapsed = seconds_since(start);
+        if (r == 0 || elapsed < designer_seconds) designer_seconds = elapsed;
+        if (!same_plan(plan, designer_first)) ++mismatches;
+    }
+    for (const cycle_time_solver solver :
+         {cycle_time_solver::auto_select, cycle_time_solver::border_sweep,
+          cycle_time_solver::howard}) {
+        for (const unsigned threads : {1u, 4u}) {
+            optimize_options variant = designer;
+            variant.solver = solver;
+            variant.max_threads = threads;
+            if (!same_plan(run_optimize(designer_sg, designer_engine, variant), designer_first))
+                ++mismatches;
+        }
+    }
+    std::vector<double> cold;
+    for (int i = 0; i < 64; ++i) {
+        const auto start = clock_type::now();
+        (void)designer_engine.evaluate(designer_cg.delay(), /*with_slack=*/false, 1,
+                                       cycle_time_solver::border_sweep,
+                                       /*with_witness=*/false);
+        cold.push_back(seconds_since(start));
+    }
+    std::nth_element(cold.begin(), cold.begin() + 32, cold.end());
+    const double cold_seconds = cold[32];
+    const double det_speedup = static_cast<double>(designer_first.evaluations) *
+                               cold_seconds / designer_seconds;
+    std::cout << "designer     : n=" << designer_sg.event_count() << " lambda "
+              << designer_first.initial_cycle_time.str() << " -> "
+              << designer_first.final_cycle_time.str() << " ("
+              << (designer_first.exact ? "exact" : "greedy") << ", "
+              << designer_first.evaluations << " evaluations in " << designer_seconds * 1e3
+              << " ms, cold evaluation " << cold_seconds * 1e6 << " us, " << det_speedup
+              << "x vs cold)\n";
+
     // --- statistical optimize: yield gain vs uniform + seed replay --------
     const signal_graph stat_sg = make_bottleneck_field(stat_rings, 4);
     const compiled_graph stat_cg(stat_sg);
@@ -330,6 +396,7 @@ int main(int argc, char** argv)
               << mismatches << " mismatches)\n";
 
     reporter.record("det_evaluations_per_second", det_rate, "1/s");
+    reporter.record("det_speedup_vs_cold", det_speedup, "ratio");
     reporter.record("stat_samples_per_second", stat_rate, "1/s");
     reporter.record("optimized_yield", opt_yield, "probability");
     reporter.record("uniform_yield", uni_yield, "probability");

@@ -57,11 +57,14 @@
 //               [--retry-quota-rps X] [--retry-quota-burst Y]
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <future>
 #include <iostream>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -208,7 +211,11 @@ double p99(std::vector<double>& samples)
 
 /// The overload fleet: every client fire-hoses its whole request list at
 /// once against a deliberately tiny queue bound, then waits.  Client-side
-/// submit-to-ready latency is recorded per response class.
+/// submit-to-ready latency is recorded per response class, stamped where
+/// each response becomes ready: in its completion callback, or when
+/// submit_async returns a refusal — never when the client gets round to
+/// reading it, which would charge a shed answer for the served requests
+/// submitted before it.
 overload_result run_overload(const signal_graph& sg,
                              const std::vector<std::vector<analysis_request>>& stream,
                              unsigned workers, std::size_t queue_depth)
@@ -229,30 +236,46 @@ overload_result run_overload(const signal_graph& sg,
     std::vector<std::thread> threads;
     for (std::size_t c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
-            const std::vector<analysis_request>& requests = stream[c];
-            std::vector<std::future<analysis_response>> futures;
-            std::vector<clock_type::time_point> submitted;
-            futures.reserve(requests.size());
-            submitted.reserve(requests.size());
-            for (const analysis_request& request : requests) {
-                submitted.push_back(clock_type::now());
-                futures.push_back(service.submit(request));
-            }
-            for (std::size_t k = 0; k < futures.size(); ++k) {
-                const analysis_response response = futures[k].get();
-                const double us = std::chrono::duration<double, std::micro>(
-                                      clock_type::now() - submitted[k])
-                                      .count();
-                if (response.ok) {
+            std::mutex mu;
+            std::condition_variable cv;
+            std::size_t outstanding = 0;
+            const auto record = [&](bool ok, const std::string& code,
+                                    clock_type::time_point submitted,
+                                    clock_type::time_point ready) {
+                const double us =
+                    std::chrono::duration<double, std::micro>(ready - submitted).count();
+                if (ok) {
                     ++per_client[c].served;
                     served_latencies[c].push_back(us);
-                } else if (response.error.code == "overloaded") {
+                } else if (code == "overloaded") {
                     ++per_client[c].shed;
                     shed_latencies[c].push_back(us);
                 } else {
                     ++per_client[c].other_failures;
                 }
+            };
+            for (const analysis_request& request : stream[c]) {
+                const clock_type::time_point submitted = clock_type::now();
+                {
+                    const std::lock_guard<std::mutex> lk(mu);
+                    ++outstanding;
+                }
+                const std::optional<api_error> refusal = service.submit_async(
+                    request, [&, submitted](analysis_response response) {
+                        const clock_type::time_point ready = clock_type::now();
+                        const std::lock_guard<std::mutex> lk(mu);
+                        record(response.ok, response.error.code, submitted, ready);
+                        if (--outstanding == 0) cv.notify_one();
+                    });
+                if (refusal) {
+                    const clock_type::time_point ready = clock_type::now();
+                    const std::lock_guard<std::mutex> lk(mu);
+                    record(false, refusal->code, submitted, ready);
+                    --outstanding;
+                }
             }
+            std::unique_lock<std::mutex> lk(mu);
+            cv.wait(lk, [&] { return outstanding == 0; });
         });
     }
     for (std::thread& t : threads) t.join();

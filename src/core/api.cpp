@@ -1058,7 +1058,8 @@ std::string execute_analysis_payload(const analysis_request& request, const sign
         return optimize_json("optimize", solver_spelling(o.solver), sg, opt, result);
     }
     if (request.kind == request_kind::report_topk) {
-        const topk_options topk = o.to_topk_options();
+        topk_options topk = o.to_topk_options();
+        topk.deadline = deadline;
         const topk_result result = report_topk(sg, compiled, engine, topk);
         return topk_json("report_topk", solver_spelling(o.solver), sg, topk, result);
     }

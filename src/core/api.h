@@ -144,8 +144,9 @@ struct request_options {
     // --- serving -----------------------------------------------------------
     /// Per-request deadline, relative to admission, in milliseconds.  0
     /// means none.  The analysis service sheds work whose deadline has
-    /// passed — before execution from the queue, and between adaptive
-    /// Monte Carlo rounds — with the structured "deadline_exceeded" code.
+    /// passed — before execution from the queue, between statistics
+    /// rounds, and between optimize evaluations and top-K solves or rounds
+    /// — with the structured "deadline_exceeded" code.
     std::uint64_t deadline_ms = 0;
 
     [[nodiscard]] bool operator==(const request_options&) const = default;
@@ -368,9 +369,10 @@ struct edit_batch_status {
 /// pipelines exactly (nominal evaluation, statistics routing, option
 /// mapping), so payloads are byte-identical to the pre-API subcommands.
 /// Throws tsg::error on invalid requests or models.  `deadline` (if not
-/// the epoch default) bounds adaptive Monte Carlo streaming: the run
-/// checks it between rounds and throws a deadline_exceeded error once it
-/// passes.  Deadlines never change the payload of work that completes.
+/// the epoch default) bounds statistics streaming, optimize and
+/// report_topk: they check it between rounds, evaluations or solves and
+/// throw a deadline_exceeded error once it passes.  Deadlines never change
+/// the payload of work that completes.
 [[nodiscard]] std::string execute_analysis_payload(
     const analysis_request& request, const signal_graph& sg,
     const compiled_graph& compiled, const scenario_engine& engine,

@@ -1,10 +1,12 @@
 #include "core/optimize.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "core/compiled_graph.h"
@@ -99,7 +101,68 @@ void confirm_final(optimize_result& out, const signal_graph& sg)
            "run_optimize: incremental re-analysis disagrees with the search");
 }
 
+/// Throws deadline_exceeded once `deadline` has passed; the epoch default
+/// means no deadline and reads no clock.
+void check_deadline(std::chrono::steady_clock::time_point deadline, std::size_t done,
+                    const char* unit)
+{
+    if (deadline.time_since_epoch().count() != 0 &&
+        std::chrono::steady_clock::now() >= deadline)
+        throw error("deadline_exceeded: deadline passed after " + std::to_string(done) + " " +
+                    unit);
+}
+
 // --- deterministic optimizer -------------------------------------------------
+
+/// Every nominal evaluation of one deterministic request, counted and
+/// deadline-checked.  Lambda-only evaluations run on one warm Howard
+/// chain; the initial lambda and the greedy's slack states go through the
+/// engine with the requested solver.  Every decision reads only lambda
+/// (exact, equal from every solver) or the slack-based critical set (solver
+/// independent), so the plan never depends on the solver or thread count.
+class det_evaluator {
+public:
+    det_evaluator(const scenario_engine& engine, const optimize_options& options)
+        : engine_(engine), options_(options), chain_(engine.base())
+    {
+    }
+
+    rational lambda(const std::vector<rational>& delay)
+    {
+        admit();
+        return chain_.solve(delay).ratio;
+    }
+
+    rational nominal(const std::vector<rational>& delay)
+    {
+        admit();
+        return engine_
+            .evaluate(delay, /*with_slack=*/false, options_.max_threads, options_.solver,
+                      /*with_witness=*/false)
+            .cycle_time;
+    }
+
+    scenario_outcome critical_state(const std::vector<rational>& delay)
+    {
+        admit();
+        return engine_.evaluate(delay, /*with_slack=*/true, options_.max_threads,
+                                options_.solver, /*with_witness=*/true);
+    }
+
+    [[nodiscard]] std::size_t count() const noexcept { return count_; }
+
+private:
+    void admit()
+    {
+        check_deadline(options_.stats.deadline, count_, "evaluations");
+        ++count_;
+    }
+
+    const scenario_engine& engine_;
+    const optimize_options& options_;
+    howard_chain chain_;
+    std::size_t count_ = 0;
+};
 
 /// Exact branch-and-bound over quantized allocations.  Candidates are
 /// visited in ascending arc order and each level tries smaller quanta
@@ -109,10 +172,10 @@ class det_search {
 public:
     struct aborted {}; ///< evaluation cap hit: fall back to greedy
 
-    det_search(const scenario_engine& engine, const optimize_options& options,
+    det_search(det_evaluator& ev, const optimize_options& options,
                const std::vector<arc_id>& cand, const std::vector<std::uint64_t>& cap,
                const rational& step, std::vector<rational> delay, rational initial)
-        : engine_(engine),
+        : ev_(ev),
           options_(options),
           cand_(cand),
           cap_(cap),
@@ -128,17 +191,13 @@ public:
 
     [[nodiscard]] const rational& best() const noexcept { return best_; }
     [[nodiscard]] const std::vector<std::uint64_t>& best_q() const noexcept { return best_q_; }
-    [[nodiscard]] std::size_t evaluations() const noexcept { return evals_; }
 
 private:
     rational eval()
     {
         if (evals_ >= options_.max_evaluations) throw aborted{};
         ++evals_;
-        return engine_
-            .evaluate(delay_, /*with_slack=*/false, options_.max_threads, options_.solver,
-                      /*with_witness=*/false)
-            .cycle_time;
+        return ev_.lambda(delay_);
     }
 
     void leaf()
@@ -189,7 +248,7 @@ private:
         q_[i] = 0;
     }
 
-    const scenario_engine& engine_;
+    det_evaluator& ev_;
     const optimize_options& options_;
     const std::vector<arc_id>& cand_;
     const std::vector<std::uint64_t>& cap_;
@@ -204,16 +263,12 @@ private:
 /// Greedy fallback: one quantum at a time to the critical arc whose
 /// reduction lowers lambda the most (ties: lowest arc id).  Stops at the
 /// target, on budget exhaustion, or when no critical arc improves.
-std::vector<rational> greedy_descent(const scenario_engine& engine,
-                                     const optimize_options& options, const rational& step,
-                                     std::vector<rational> delay, std::uint64_t total,
-                                     std::size_t& evals)
+std::vector<rational> greedy_descent(det_evaluator& ev, const optimize_options& options,
+                                     const rational& step, std::vector<rational> delay,
+                                     std::uint64_t total)
 {
     for (std::uint64_t spent = 0; spent < total; ++spent) {
-        const scenario_outcome state =
-            engine.evaluate(delay, /*with_slack=*/true, options.max_threads, options.solver,
-                            /*with_witness=*/true);
-        ++evals;
+        const scenario_outcome state = ev.critical_state(delay);
         if (rational(0) < options.target && !(options.target < state.cycle_time)) break;
 
         arc_id best_arc = invalid_arc;
@@ -221,12 +276,7 @@ std::vector<rational> greedy_descent(const scenario_engine& engine,
         for (const arc_id a : state.critical_arcs) { // ascending ids
             if (delay[a] - step < options.min_delay) continue;
             delay[a] -= step;
-            const rational lambda = engine
-                                        .evaluate(delay, /*with_slack=*/false,
-                                                  options.max_threads, options.solver,
-                                                  /*with_witness=*/false)
-                                        .cycle_time;
-            ++evals;
+            const rational lambda = ev.lambda(delay);
             delay[a] += step;
             if (lambda < best_lambda) { // strict: first minimum wins the tie
                 best_lambda = lambda;
@@ -246,13 +296,10 @@ optimize_result optimize_deterministic(const signal_graph& sg, const scenario_en
     const rational step = resolve_step(options);
     const std::uint64_t total = floor_quanta(options.budget, step);
 
+    det_evaluator ev(engine, options);
     optimize_result out;
     out.mode = optimize_mode::deterministic;
-    out.initial_cycle_time =
-        engine.evaluate(cg.delay(), /*with_slack=*/false, options.max_threads, options.solver,
-                        /*with_witness=*/false)
-            .cycle_time;
-    out.evaluations = 1;
+    out.initial_cycle_time = ev.nominal(cg.delay());
 
     const std::vector<arc_id> arcs = core_candidates(cg);
     std::vector<arc_id> cand;
@@ -269,28 +316,19 @@ optimize_result optimize_deterministic(const signal_graph& sg, const scenario_en
     out.final_cycle_time = out.initial_cycle_time;
     out.exact = true;
     if (total > 0 && !cand.empty()) {
-        det_search search(engine, options, cand, cap, step, cg.delay(),
-                          out.initial_cycle_time);
+        det_search search(ev, options, cand, cap, step, cg.delay(), out.initial_cycle_time);
         try {
             search.run(total);
-            out.evaluations += search.evaluations();
             out.final_cycle_time = search.best();
             for (std::size_t i = 0; i < cand.size(); ++i)
                 final_delay[cand[i]] -= quanta(step, search.best_q()[i]);
         } catch (const det_search::aborted&) {
             out.exact = false;
-            out.evaluations += search.evaluations();
-            std::size_t greedy_evals = 0;
-            final_delay = greedy_descent(engine, options, step, cg.delay(), total,
-                                         greedy_evals);
-            out.evaluations += greedy_evals;
-            out.final_cycle_time =
-                engine.evaluate(final_delay, /*with_slack=*/false, options.max_threads,
-                                options.solver, /*with_witness=*/false)
-                    .cycle_time;
-            ++out.evaluations;
+            final_delay = greedy_descent(ev, options, step, cg.delay(), total);
+            out.final_cycle_time = ev.lambda(final_delay);
         }
     }
+    out.evaluations = ev.count();
 
     record_plan(out, cg.delay(), final_delay);
     out.target_reached = rational(0) < options.target &&
@@ -447,9 +485,8 @@ std::vector<arc_id> canonical_rotation(std::vector<arc_id> arcs)
 
 struct peel_entry {
     rational ratio;
-    std::vector<arc_id> canonical;  ///< original (sg) arcs, canonical rotation
-    std::vector<arc_id> base_cycle; ///< base-problem arcs, causal order
-    std::vector<arc_id> excluded;   ///< excluded base-problem arcs, ascending
+    std::vector<arc_id> canonical; ///< original (sg) arcs, canonical rotation
+    std::vector<arc_id> excluded;  ///< excluded base-problem arcs, ascending
 };
 
 /// Total order for the peel heap: higher ratio first, then canonical arc
@@ -502,11 +539,19 @@ topk_result topk_deterministic(const signal_graph& sg, const compiled_graph& cg,
     condensation_options copts;
     copts.max_threads = options.max_threads;
 
+    // Original arc -> live base arc (incrementally patched cores keep
+    // tombstones, whose original ids may repeat a live arc's).
+    std::vector<arc_id> base_of(sg.arc_count(), invalid_arc);
+    for (arc_id a = 0; a < arc_count; ++a)
+        if (base.graph.live(a))
+            base_of[base.arc_original.empty() ? a : base.arc_original[a]] = a;
+
     // Solves the subproblem with the masked arcs removed; nullopt when no
     // cycle survives (max_cycle_ratio_condensed throws exactly then —
     // token-free cycles cannot appear in subgraphs of a live core).
     const auto solve =
         [&](const std::vector<arc_id>& excluded) -> std::optional<peel_entry> {
+        check_deadline(options.deadline, out.solves, "solves");
         std::vector<std::uint8_t> mask(arc_count, 0);
         for (const arc_id a : excluded) mask[a] = 1;
         ratio_problem sub;
@@ -532,10 +577,12 @@ topk_result topk_deterministic(const signal_graph& sg, const compiled_graph& cg,
         ++out.solves;
         peel_entry entry;
         entry.ratio = solved.ratio;
-        for (const arc_id a : solved.cycle) entry.base_cycle.push_back(to_base[a]);
         std::vector<arc_id> original;
-        for (const arc_id a : entry.base_cycle)
-            original.push_back(base.arc_original.empty() ? a : base.arc_original[a]);
+        original.reserve(solved.cycle.size());
+        for (const arc_id a : solved.cycle) {
+            const arc_id b = to_base[a];
+            original.push_back(base.arc_original.empty() ? b : base.arc_original[b]);
+        }
         entry.canonical = canonical_rotation(std::move(original));
         entry.excluded = excluded;
         return entry;
@@ -591,8 +638,11 @@ topk_result topk_deterministic(const signal_graph& sg, const compiled_graph& cg,
         ++expansions;
         // Every cycle of this subproblem other than the witness misses at
         // least one witness arc: the children jointly cover the remainder.
+        // Children expand in canonical order; the heap's total order makes
+        // the expansion order irrelevant to what is solved and reported.
         if (explored.insert(entry.excluded).second) {
-            for (const arc_id x : entry.base_cycle) {
+            for (const arc_id orig : entry.canonical) {
+                const arc_id x = base_of[orig];
                 std::vector<arc_id> child = entry.excluded;
                 child.insert(std::lower_bound(child.begin(), child.end(), x), x);
                 if (explored.count(child)) continue;
@@ -645,6 +695,7 @@ topk_result topk_statistical(const signal_graph& sg, const compiled_graph& cg,
     monte_carlo_options mc = options.mc;
     std::size_t have = 0;
     while (have < options.samples) {
+        check_deadline(options.deadline, have, "samples");
         mc.first_sample = options.mc.first_sample + have;
         mc.samples = std::min(round_size, options.samples - have);
         const std::vector<scenario> scenarios = monte_carlo_scenarios(sg, mc);

@@ -14,7 +14,14 @@
 //     allocations (optimistic floored-suffix bounds, lexicographically
 //     smallest optimum), validated against exhaustive search in tests.
 //     When the evaluation cap trips first, a critical-arc greedy descent
-//     finishes the job and the result is flagged exact = false.
+//     finishes the job and the result is flagged exact = false.  Every
+//     lambda-only evaluation of the search — bounds, leaves, the greedy's
+//     per-arc candidates and its final lambda — runs on one warm Howard
+//     chain (core/scenario.h): each candidate re-binds the chain and
+//     resumes policy iteration from the previous candidate's policy
+//     instead of paying a cold solve.  The search reads only lambda, which
+//     is exact and equal from every solver, so the plan never depends on
+//     the solver or the thread count.
 //   * run_optimize, statistical mode — maximizes the timing yield
 //     P(lambda <= target) under the Monte Carlo delay model: per-arc
 //     criticality probabilities (core/stats with-witness path) rank the
@@ -39,6 +46,15 @@
 // an incremental_engine (or commit it as a new design version through the
 // service), which keeps plan application O(edits), not O(graph).
 //
+// Deadlines.  A deterministic optimize checks optimize_options::stats
+// .deadline before each evaluation, report_topk checks
+// topk_options::deadline before each deterministic subproblem solve and
+// each statistical round, and statistical optimize inherits core/stats'
+// per-round check.  Once the deadline has passed they throw
+// "deadline_exceeded: deadline passed after N evaluations" (or solves, or
+// samples); a run without a deadline reads no clock, and a run that
+// finishes returns exactly what it would without one.
+//
 // Validation errors use the request API's taxonomy (core/api.h):
 // "invalid_request: ..." for nonsensical parameters (non-positive budget,
 // K = 0, missing statistical target), "unsupported: ..." for statistical
@@ -47,6 +63,7 @@
 #ifndef TSG_CORE_OPTIMIZE_H
 #define TSG_CORE_OPTIMIZE_H
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -91,7 +108,11 @@ struct optimize_options {
     /// allocation quantum (at least 1).
     std::size_t max_candidates = 4;
 
-    /// Engine knobs for nominal evaluations.
+    /// Engine knobs.  Deterministic mode: the solver computes the initial
+    /// lambda and the greedy fallback's slack-based critical sets; the
+    /// search's lambda-only evaluations always run the warm Howard chain,
+    /// and the plan never depends on either knob.  Statistical mode: the
+    /// Monte Carlo batches' engine.
     cycle_time_solver solver = cycle_time_solver::auto_select;
     unsigned max_threads = 0;
 
@@ -104,6 +125,7 @@ struct optimize_options {
     /// Statistical mode: adaptive-MC controls (epsilon = target yield-CI
     /// half-width, min/max samples, round size, confidence, deadline).
     /// yield_target / yield_objective are set internally from `target`.
+    /// Deterministic mode reads only `deadline` (see "Deadlines" above).
     stats_options stats;
 };
 
@@ -187,6 +209,12 @@ struct topk_options {
     /// Deterministic mode: cap on Lawler-partition subproblem expansions
     /// (0 picks max(64, 32 * k)).  Hitting it flags the report truncated.
     std::size_t max_expansions = 0;
+
+    /// Optional wall-clock deadline (the epoch default means none),
+    /// checked before each deterministic subproblem solve and each
+    /// statistical Monte Carlo round; once it has passed the report throws
+    /// a deadline_exceeded tsg::error.  Reports that finish are unchanged.
+    std::chrono::steady_clock::time_point deadline{};
 };
 
 /// One arc of a reported cycle with its share of the cycle's delay.

@@ -142,35 +142,41 @@ structural_batch_result scenario_engine::run_structural(
     return out;
 }
 
-namespace {
-
-/// One warm-chained Howard evaluation: rebind the snapshot, refresh the
-/// worker's ratio problem in place, iterate from the previous scenario's
-/// converged policy.
-scenario_outcome evaluate_howard_warm(const compiled_graph& base,
-                                      const std::vector<rational>& delay,
-                                      ratio_problem& p, howard_state& state,
-                                      bool with_slack, bool with_witness)
+howard_chain::howard_chain(const compiled_graph& base)
+    : base_(&base), problem_(make_ratio_problem(base))
 {
-    const compiled_graph bound = base.rebind(delay);
-    rebind_ratio_problem(p, bound);
+}
 
-    const ratio_result r = max_cycle_ratio_howard(p, howard_options{}, &state);
+ratio_result howard_chain::solve(const std::vector<rational>& delay)
+{
+    bound_ = base_->rebind(delay);
+    rebind_ratio_problem(problem_, *bound_);
+    ratio_result r = max_cycle_ratio_howard(problem_, howard_options{}, &state_);
 #ifndef NDEBUG
     // Policy iteration is start-independent at the fixed point; a warm
     // start changing lambda would be a library bug.
-    ensure(max_cycle_ratio_howard(p).ratio == r.ratio,
-           "scenario_engine: warm-started Howard diverged from cold start");
+    ensure(max_cycle_ratio_howard(problem_).ratio == r.ratio,
+           "howard_chain: warm-started Howard diverged from cold start");
 #endif
+    return r;
+}
 
+namespace {
+
+/// One scenario of a Howard batch worker's chain, with the witness mapped
+/// to canonical original arcs.
+scenario_outcome evaluate_howard_warm(howard_chain& chain, const std::vector<rational>& delay,
+                                      bool with_slack, bool with_witness)
+{
+    const ratio_result r = chain.solve(delay);
     scenario_outcome out;
     out.cycle_time = r.ratio;
     out.fixed_point = r.fixed_point;
     std::vector<arc_id> cycle;
     cycle.reserve(r.cycle.size());
-    for (const arc_id a : r.cycle) cycle.push_back(p.arc_original[a]);
+    for (const arc_id a : r.cycle) cycle.push_back(chain.problem().arc_original[a]);
     cycle = canonical_cycle(std::move(cycle));
-    finish_cyclic_outcome(out, bound, with_slack, with_witness, cycle);
+    finish_cyclic_outcome(out, chain.bound(), with_slack, with_witness, cycle);
     if (with_witness) out.critical_cycle = std::move(cycle);
     return out;
 }
@@ -316,12 +322,10 @@ scenario_batch_result scenario_engine::run(const std::vector<scenario>& scenario
         pool.for_index(workers, [&](std::size_t w, unsigned) {
             const std::size_t begin = w * scenarios.size() / workers;
             const std::size_t end = (w + 1) * scenarios.size() / workers;
-            ratio_problem p = make_ratio_problem(*base_);
-            howard_state state;
+            howard_chain chain(*base_);
             for (std::size_t i = begin; i < end; ++i)
-                out.outcomes[i] =
-                    evaluate_howard_warm(*base_, scenarios[i].delay, p, state,
-                                         options.with_slack, options.with_witness);
+                out.outcomes[i] = evaluate_howard_warm(chain, scenarios[i].delay,
+                                                       options.with_slack, options.with_witness);
         });
     } else if (groups > 0) {
         // Lane path: fixed-width groups (boundaries independent of the

@@ -34,29 +34,67 @@
 //
 // Solvers.  Each scenario's lambda comes from the solver selected by
 // scenario_batch_options::solver (see core/cycle_time.h).  Under the
-// howard solver each batch worker carries a howard_state and warm-starts
-// policy iteration from the previous scenario's converged policy — when
-// delays barely change between samples (the SSTA-style workload), the
+// howard solver each batch worker runs one howard_chain (below): policy
+// iteration warm-started from the previous scenario's converged policy —
+// when delays barely change between samples (the SSTA-style workload), the
 // iteration converges in one or two sweeps.  Cycle times are bit-identical
 // to cold starts and to the border sweep; only the choice among *equally
 // critical* witness cycles may differ between solvers and thread layouts.
+// The deterministic optimizer (core/optimize.h) runs its lambda-only
+// candidate evaluations on the same chain type.
 #ifndef TSG_CORE_SCENARIO_H
 #define TSG_CORE_SCENARIO_H
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/compiled_graph.h"
 #include "core/cycle_time.h"
 #include "core/incremental.h"
+#include "ratio/howard.h"
 #include "sg/signal_graph.h"
 #include "util/parallel.h"
 #include "util/rational.h"
 
 namespace tsg {
+
+/// One warm Howard chain over a compiled snapshot's repetitive core: the
+/// ratio problem is built once, re-bound to each delay assignment and
+/// solved by policy iteration started from the previous solve's converged
+/// policy.  Consecutive assignments that differ in a few arcs (a search
+/// stepping through candidates, a Monte Carlo stream) converge in one or
+/// two sweeps instead of a cold solve each.  The ratio is exact and equal
+/// to a cold solve's — debug builds check every solve against one.  An
+/// assignment that leaves the fixed-point domain runs Howard's rational
+/// domain for that solve alone.
+///
+/// Requires a strongly connected core with no tombstoned arcs (any fresh
+/// compile of a finalized graph).  Not thread-safe: one chain per worker.
+/// `base` must outlive the chain.
+class howard_chain {
+public:
+    explicit howard_chain(const compiled_graph& base);
+
+    /// Re-binds the chain to `delay` (indexed like base's arcs) and solves.
+    /// The witness cycle is in problem() arcs.
+    ratio_result solve(const std::vector<rational>& delay);
+
+    /// The snapshot the last solve() re-bound (slack analyses of the same
+    /// assignment); requires a previous solve().
+    [[nodiscard]] const compiled_graph& bound() const { return bound_.value(); }
+
+    [[nodiscard]] const ratio_problem& problem() const noexcept { return problem_; }
+
+private:
+    const compiled_graph* base_;
+    std::optional<compiled_graph> bound_;
+    ratio_problem problem_;
+    howard_state state_;
+};
 
 /// One scenario: a complete per-arc delay assignment (same indexing as the
 /// source graph's arcs) plus a display label.

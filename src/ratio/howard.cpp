@@ -126,6 +126,7 @@ struct value_determination {
     std::vector<typename Domain::value_type> value;   ///< potential v(u)
     std::vector<arc_id> best_cycle;
     typename Domain::lambda_type best_lambda{};
+    bool uniform = true; ///< every policy cycle has the same ratio
 
     std::vector<std::uint8_t> mark; ///< workspace: unvisited/in-progress/done
     std::vector<node_id> path;      ///< workspace: current policy walk
@@ -144,6 +145,7 @@ void determine_values(const ratio_problem& p, const Domain& domain,
     out.mark.assign(n, unvisited);
 
     bool have_best = false;
+    out.uniform = true;
     for (node_id root = 0; root < n; ++root) {
         if (out.mark[root] != unvisited) continue;
 
@@ -190,6 +192,7 @@ void determine_values(const ratio_problem& p, const Domain& domain,
             }
             out.mark[v] = done;
 
+            if (have_best && !Domain::lambda_equal(out.best_lambda, ratio)) out.uniform = false;
             if (!have_best || Domain::lambda_less(out.best_lambda, ratio)) {
                 out.best_lambda = ratio;
                 out.best_cycle.assign(path.begin() + cycle_begin, path.end());
@@ -256,8 +259,10 @@ ratio_result iterate(const ratio_problem& p, const Domain& domain,
         // (ascending arc ids visit each node's arcs in out_arcs order, and
         // lambda is read-only here, so the decisions match a node-major
         // sweep exactly — without the per-node adjacency indirection).
+        // When every node reaches a cycle of one ratio nothing can improve
+        // here, so the sweep is skipped (the warm chain's common case).
         bool improved = false;
-        for (arc_id a = 0; a < m; ++a) {
+        for (arc_id a = 0; !vd.uniform && a < m; ++a) {
             const node_id u = p.graph.from(a);
             if (Domain::lambda_less(vd.lambda[p.graph.to(policy[u])],
                                     vd.lambda[p.graph.to(a)])) {

@@ -23,11 +23,13 @@
 //
 // Warm starts.  A howard_state carries the converged policy out of one
 // solve and into the next.  When only the delays changed (the scenario
-// engine's rebind batches), the previous policy is usually optimal or
-// near-optimal and the iteration converges in one or two sweeps; the
+// engine's rebind batches, the optimizer's candidates — both through
+// howard_chain in core/scenario.h), the previous policy is usually optimal
+// or near-optimal and the iteration converges in one or two sweeps; the
 // resulting ratio is bit-identical to a cold start (policy iteration is
 // start-independent at the fixed point — asserted in debug builds by the
-// scenario engine).
+// chain).  A policy whose cycles all share one ratio skips the
+// ratio-improvement sweep, which could not change it.
 //
 // Requires a strongly connected, live problem; solve arbitrary graphs
 // through max_cycle_ratio_condensed (ratio/condensation.h), which fans

@@ -14,11 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "core/api.h"
 #include "core/cycle_time.h"
 #include "core/incremental.h"
 #include "core/optimize.h"
@@ -215,6 +217,71 @@ TEST(Optimize, GreedyFallbackUnderTinyEvaluationCap)
     incremental_engine inc(sg);
     if (!plan.edits.empty()) inc.apply(plan.edits);
     EXPECT_EQ(inc.analyze().cycle_time, plan.final_cycle_time);
+}
+
+TEST(Optimize, PayloadDoesNotDependOnTheSolverOrThreads)
+{
+    // Search evaluations run on the warm Howard chain whatever the request
+    // names; the plan, the evaluation count and `exact` must not move.
+    // Designs where the evaluation cap trips (greedy fallback) and small
+    // ones where the branch-and-bound completes.
+    struct design {
+        std::uint32_t events;
+        std::uint32_t extra_arcs;
+        std::uint32_t border_limit;
+        std::uint64_t seed;
+        bool exact;
+    };
+    for (const design d : {design{64, 64, 4, 3, false}, design{40, 40, 0, 8, false},
+                           design{8, 5, 0, 4, true}, design{10, 8, 2, 6, true}}) {
+        random_sg_options gopts;
+        gopts.events = d.events;
+        gopts.extra_arcs = d.extra_arcs;
+        gopts.border_limit = d.border_limit;
+        gopts.seed = d.seed;
+        const signal_graph sg = random_marked_graph(gopts);
+        const compiled_graph cg(sg);
+        const scenario_engine engine(cg);
+
+        optimize_options opts;
+        opts.budget = rational(4);
+        opts.step = rational(1);
+        if (!d.exact) opts.max_evaluations = 600; // trip the cap early: a short test
+        std::string reference;
+        for (const cycle_time_solver solver :
+             {cycle_time_solver::auto_select, cycle_time_solver::border_sweep,
+              cycle_time_solver::howard}) {
+            for (const unsigned threads : {1u, 4u}) {
+                opts.solver = solver;
+                opts.max_threads = threads;
+                const optimize_result plan = run_optimize(sg, engine, opts);
+                EXPECT_EQ(plan.exact, d.exact) << "n=" << d.events;
+                const std::string payload = optimize_json("optimize", "auto", sg, opts, plan);
+                if (reference.empty()) reference = payload;
+                EXPECT_EQ(payload, reference)
+                    << "n=" << d.events << " solver " << static_cast<int>(solver)
+                    << " threads " << threads;
+            }
+        }
+    }
+}
+
+TEST(Optimize, PassedDeadlineStopsTheSearchBeforeItsFirstEvaluation)
+{
+    const signal_graph sg = c_oscillator_sg();
+    optimize_options opts;
+    opts.budget = rational(2);
+    opts.step = rational(1);
+    opts.stats.deadline = std::chrono::steady_clock::time_point(std::chrono::nanoseconds(1));
+    expect_error_prefix([&] { (void)run_optimize(sg, opts); },
+                        "deadline_exceeded: deadline passed after 0 evaluations");
+
+    // A deadline far in the future changes nothing.
+    optimize_options relaxed = opts;
+    relaxed.stats.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+    opts.stats.deadline = {};
+    EXPECT_EQ(optimize_json("optimize", "auto", sg, relaxed, run_optimize(sg, relaxed)),
+              optimize_json("optimize", "auto", sg, opts, run_optimize(sg, opts)));
 }
 
 // --- statistical optimizer ---------------------------------------------------
@@ -494,6 +561,26 @@ TEST(TopK, ExpansionCapFlagsTruncation)
     ASSERT_FALSE(report.cycles.empty());
     // What is returned is still correct: the top cycle is the critical one.
     EXPECT_EQ(report.cycles.front().ratio, report.cycle_time);
+}
+
+TEST(TopK, PassedDeadlineStopsTheReportBeforeItsFirstSolve)
+{
+    const signal_graph sg = c_oscillator_sg();
+    topk_options opts;
+    opts.deadline = std::chrono::steady_clock::time_point(std::chrono::nanoseconds(1));
+    expect_error_prefix([&] { (void)report_topk(sg, opts); },
+                        "deadline_exceeded: deadline passed after 0 solves");
+
+    topk_options stat = opts;
+    stat.mode = optimize_mode::statistical;
+    expect_error_prefix([&] { (void)report_topk(sg, stat); },
+                        "deadline_exceeded: deadline passed after 0 samples");
+
+    topk_options relaxed = opts;
+    relaxed.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+    opts.deadline = {};
+    EXPECT_EQ(topk_json("report_topk", "auto", sg, relaxed, report_topk(sg, relaxed)),
+              topk_json("report_topk", "auto", sg, opts, report_topk(sg, opts)));
 }
 
 // --- top-K: statistical ------------------------------------------------------

@@ -179,6 +179,36 @@ TEST(Howard, MultiTokenCycleRatios)
     EXPECT_EQ(max_cycle_ratio_lawler(p).ratio, rational(5));
 }
 
+TEST(Howard, RatioImprovementJoinsPolicyClassesOfDifferentRatios)
+{
+    // The first-out-arc policy splits the nodes into two classes: {0, 1}
+    // on cycle 0-1-0 (ratio 2) and {2, 3} on cycle 2-3-2 (ratio 10).  The
+    // maximum, 0-2-3-0 at 205/2, needs both cross arcs, which only the
+    // ratio-improvement sweep takes (the potential sweep stays inside a
+    // class).  Both arithmetic domains must find it.
+    for (const bool fixed : {false, true}) {
+        ratio_problem p;
+        p.graph.add_nodes(4);
+        p.graph.add_arc(0, 1);
+        p.graph.add_arc(1, 0);
+        p.graph.add_arc(2, 3);
+        p.graph.add_arc(3, 2);
+        p.graph.add_arc(0, 2);
+        p.graph.add_arc(3, 0);
+        p.delay = {rational(1), rational(1), rational(5), rational(5), rational(100),
+                   rational(100)};
+        p.transit = {1, 0, 1, 0, 1, 0};
+        if (fixed) {
+            p.scale = 1;
+            p.scaled_delay = {1, 1, 5, 5, 100, 100};
+        }
+        const ratio_result r = max_cycle_ratio_howard(p);
+        EXPECT_EQ(r.fixed_point, fixed);
+        EXPECT_EQ(r.ratio, rational(205, 2));
+        EXPECT_EQ(max_cycle_ratio_lawler(p).ratio, rational(205, 2));
+    }
+}
+
 TEST(Howard, DeadEndErrorNamesTheNodeAndTheCondensationEntryPoint)
 {
     // Node 1 has no out-arc: the precondition error must identify it and

@@ -29,6 +29,7 @@
 #include "core/api.h"
 #include "core/service.h"
 #include "gen/oscillator.h"
+#include "gen/random_sg.h"
 #include "util/json.h"
 #include "util/prng.h"
 
@@ -377,6 +378,36 @@ TEST(Service, DeadlinesBeyondTheClockNeverExpire)
     request.options.deadline_ms = std::numeric_limits<std::uint64_t>::max();
     EXPECT_TRUE(service.execute(request).ok);
     EXPECT_EQ(service.metrics().deadline_expired, 0u);
+}
+
+TEST(Service, OptimizeDeadlineStopsTheSearchAndTheWorkerServesOn)
+{
+    // A search of thousands of evaluations (well over 50 ms on any build)
+    // against a 20 ms deadline: the search itself notices, the request
+    // answers deadline_exceeded, and the one worker serves the next request.
+    random_sg_options gopts;
+    gopts.events = 512;
+    gopts.extra_arcs = 512;
+    gopts.seed = 3;
+    gopts.border_limit = 4;
+    service_options options;
+    options.workers = 1;
+    analysis_service service(options);
+    service.register_design("chip", random_marked_graph(gopts));
+
+    analysis_request slow = make_request(request_kind::optimize, "slow");
+    slow.options.budget = rational(4);
+    slow.options.step = rational(1);
+    slow.options.deadline_ms = 20;
+    const analysis_response expired = service.execute(slow);
+    EXPECT_FALSE(expired.ok);
+    EXPECT_EQ(expired.error.code, "deadline_exceeded");
+    EXPECT_NE(expired.error.message.find("evaluations"), std::string::npos)
+        << expired.error.message;
+    EXPECT_EQ(service.metrics().deadline_expired, 1u);
+
+    const analysis_response next = service.execute(make_request(request_kind::analyze, "next"));
+    EXPECT_TRUE(next.ok) << next.error.code << ": " << next.error.message;
 }
 
 TEST(Service, LruEvictionTrimsChainsWithStructuredErrors)

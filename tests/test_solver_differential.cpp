@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "core/compiled_graph.h"
 #include "core/cycle_time.h"
@@ -107,18 +108,15 @@ TEST_P(SolverDifferential, WarmStartMatchesColdStartAcrossScenarioBatches)
     mc.spread = rational(1, 3);
     const std::vector<scenario> scenarios = monte_carlo_scenarios(sg, mc);
 
-    // Warm chain, exactly as the batch engine runs it: one problem rebound
-    // per scenario, the previous converged policy as the starting policy.
-    ratio_problem p = make_ratio_problem(base);
-    howard_state state;
+    // The batch engine's warm chain: one problem rebound per scenario, the
+    // previous converged policy as the starting policy.
+    howard_chain chain(base);
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        const compiled_graph bound = base.rebind(scenarios[i].delay);
-        rebind_ratio_problem(p, bound);
-        const ratio_result warm = max_cycle_ratio_howard(p, howard_options{}, &state);
-        const ratio_result cold = max_cycle_ratio_howard(p);
+        const ratio_result warm = chain.solve(scenarios[i].delay);
+        const ratio_result cold = max_cycle_ratio_howard(chain.problem());
         EXPECT_EQ(warm.ratio, cold.ratio) << "scenario " << i;
         // Any warm witness must itself attain lambda exactly.
-        EXPECT_EQ(cycle_ratio(p, warm.cycle), warm.ratio) << "scenario " << i;
+        EXPECT_EQ(cycle_ratio(chain.problem(), warm.cycle), warm.ratio) << "scenario " << i;
     }
 }
 
@@ -205,6 +203,91 @@ TEST_P(SolverDifferentialLarge, PolynomialOraclesAgree)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverDifferentialLarge,
                          ::testing::Values(71, 72, 73, 74));
+
+// --- the warm Howard chain along search-shaped steps -------------------------
+
+/// Drives one chain through `steps` delay assignments shaped like the
+/// optimizer's search: one-arc reductions, many-arc "bound" reductions of a
+/// suffix of the arcs, and restores — with an occasional committed
+/// reduction so the walk drifts.  Every warm lambda must equal a cold
+/// Howard solve and a cold border-sweep evaluation exactly.  `perturb`
+/// (optional) rewrites each assignment before it is solved.
+void walk_chain(const signal_graph& sg, std::uint64_t seed, int steps,
+                const std::function<void(std::vector<rational>&)>& perturb = {})
+{
+    const compiled_graph base(sg);
+    const scenario_engine engine(base);
+    howard_chain chain(base);
+    prng rng(seed);
+    std::vector<rational> delay = base.delay();
+    const auto check = [&](std::vector<rational> d, int step) {
+        if (perturb) perturb(d);
+        const rational warm = chain.solve(d).ratio;
+        const compiled_graph bound = base.rebind(d);
+        EXPECT_EQ(warm, max_cycle_ratio_howard(make_ratio_problem(bound)).ratio) << step;
+        EXPECT_EQ(warm, engine
+                            .evaluate(d, /*with_slack=*/false, 1,
+                                      cycle_time_solver::border_sweep, /*with_witness=*/false)
+                            .cycle_time)
+            << step;
+    };
+    const auto reduce = [&](arc_id a, std::int64_t quanta) {
+        const rational cut = rational(quanta);
+        if (cut < delay[a]) delay[a] -= cut;
+        else delay[a] = rational(0);
+    };
+    for (int step = 0; step < steps; ++step) {
+        const std::vector<rational> saved = delay;
+        const auto shape = rng.uniform(0, 9);
+        if (shape < 6) { // one-arc reduction
+            reduce(static_cast<arc_id>(rng.uniform(0, static_cast<std::int64_t>(delay.size()) - 1)),
+                   rng.uniform(1, 3));
+        } else { // bound: a suffix of the arcs maximally reduced
+            const auto first = static_cast<arc_id>(
+                rng.uniform(0, static_cast<std::int64_t>(delay.size()) - 1));
+            for (arc_id a = first; a < delay.size(); ++a) reduce(a, rng.uniform(1, 4));
+        }
+        check(delay, step);
+        if (shape != 0) delay = saved; // restore; shape 0 commits the step
+        if (step % 16 == 0) check(delay, step);
+    }
+}
+
+TEST(HowardChain, MatchesColdSolvesAlongSearchShapedSteps)
+{
+    for (const std::uint32_t n : {16u, 64u, 256u}) {
+        random_sg_options opts;
+        opts.events = n;
+        opts.extra_arcs = n;
+        opts.seed = 900 + n;
+        opts.border_limit = 4;
+        walk_chain(random_marked_graph(opts), n, n == 256 ? 150 : 200);
+    }
+}
+
+TEST(HowardChain, RationalDomainRebindsMatchColdSolves)
+{
+    // Two coprime denominators near 2^16 push every assignment's scale LCM
+    // past the fixed-point cap, so each rebind runs scale 0 and the chain
+    // solves in Howard's rational domain — while the exact sums stay small.
+    random_sg_options opts;
+    opts.events = 16;
+    opts.extra_arcs = 16;
+    opts.seed = 77;
+    const signal_graph sg = random_marked_graph(opts);
+    const compiled_graph base(sg);
+    ASSERT_TRUE(base.fixed_point());
+    const auto perturb = [](std::vector<rational>& d) {
+        d[0] += rational(1, 65537);
+        d[1] += rational(1, 65539);
+    };
+    std::vector<rational> probe = base.delay();
+    perturb(probe);
+    ASSERT_FALSE(base.rebind(probe).fixed_point());
+    howard_chain chain(base);
+    EXPECT_FALSE(chain.solve(probe).fixed_point);
+    walk_chain(sg, 5, 150, perturb);
+}
 
 // --- multi-SCC graphs --------------------------------------------------------
 
