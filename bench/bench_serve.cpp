@@ -20,7 +20,8 @@
 // stripping the documented engine-accounting block (a merged run reports
 // the batch's physical lane counters); any byte difference — or any
 // failed request — counts as a mismatch and fails the bench.  Latency
-// quantiles come from the service's own dogfooded stats_accumulator.
+// quantiles come from the service's own latency histogram (nearest rank,
+// within 1/64 of a recorded latency).
 //
 // A third round drives the admission-control path: an overload fleet
 // (>= 64 clients by default) bursts the same small-request traffic at a

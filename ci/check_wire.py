@@ -9,8 +9,10 @@ requests whose ids hold a raw control byte and a \\u00e9 escape.  Every
 output line must load with json.loads (NaN and Infinity rejected), tool
 output must be exactly one line, every response must echo its request id,
 and a response to a request the tool also answers must embed the tool's
-document byte for byte.  `tsg_tool montecarlo --samples 3abc` must exit 1.
-Exit status 0 when every check holds, 1 otherwise; one line per check.
+document byte for byte.  `tsg_tool montecarlo --samples 3abc`,
+`tsg_serve --pipe --demo osc --quota-rps 5abc` and `... --conn-rps 1e999`
+must each exit 1, the daemon with an error naming the flag.  Exit status
+0 when every check holds, 1 otherwise; one line per check.
 """
 
 import argparse
@@ -101,6 +103,15 @@ def check_tool(c, tool, script_path):
     return outputs
 
 
+def check_daemon_flags(c, serve):
+    for flag, value in (("--quota-rps", "5abc"), ("--conn-rps", "1e999")):
+        proc = run([serve, "--pipe", "--demo", "osc", flag, value], b"")
+        err = proc.stderr.decode(errors="replace")
+        c.check(proc.returncode == 1 and flag in err,
+                f"tsg_serve {flag} {value} exits 1 naming the flag",
+                f"exit {proc.returncode}: {err.strip()}")
+
+
 def check_daemon(c, serve, tool_outputs):
     lines = []
     expected = []
@@ -151,6 +162,7 @@ def main():
         Path(script_path).write_text(json.dumps(EDIT_SCRIPT))
         tool_outputs = check_tool(c, str(build / "tsg_tool"), script_path)
     check_daemon(c, str(build / "tsg_serve"), tool_outputs)
+    check_daemon_flags(c, str(build / "tsg_serve"))
     print(f"{c.failures} failure(s)")
     return 1 if c.failures else 0
 

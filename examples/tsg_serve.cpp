@@ -22,10 +22,9 @@
 //   --design name=path      register a .tsg model (repeatable)
 //   --demo name             register the built-in demo oscillator
 //   --workers N             dispatch threads (default 2)
-//   --no-coalesce           strict one-request-per-batch execution
-//   --max-batch N           scenario budget per merged batch (default 256)
-//   --window-us N           wait N microseconds for merge partners
-//                           (0 = adaptive from the arrival rate)
+//   --no-coalesce           strict one-request-per-batch execution (by
+//                           default a worker merges the compatible batch
+//                           requests already queued, up to 256 scenarios)
 //   --max-versions N        versions kept per design chain (default 4)
 //   --queue-depth N         admission bound; 0 disables shedding
 //                           (default 1024)
@@ -46,10 +45,16 @@
 //   --conn-rps X            per-connection request-rate limit in
 //                           requests/s; 0 disables (default)
 //   --conn-burst X          per-connection rate bucket capacity
+//                           (default: max(1, ceil(rps)))
 //
-// Count flags (--port, --workers, --max-batch, ...) take plain decimal
-// digits: a sign, trailing characters or a port above 65535 is an error
-// naming the flag.
+// Both rate limits are the same token bucket (util/token_bucket.h): it
+// starts full, and a refusal hints retry_after_ms = ceil(ms until the
+// next token).  Count flags (--port, --workers, --queue-depth, ...) take
+// plain decimal digits: a sign, trailing characters or a port above 65535
+// is an error naming the flag.  Rate flags (--quota-rps, --quota-burst,
+// --conn-rps, --conn-burst) take a plain non-negative decimal such as 20
+// or 2.5: a sign, an exponent, inf, nan or trailing characters is an
+// error naming the flag.
 //
 // Lifecycle: SIGTERM or SIGINT triggers a bounded graceful drain on the
 // event-loop transport — the daemon stops taking new work (structured
@@ -128,6 +133,7 @@ int main(int argc, char** argv)
                                        std::numeric_limits<std::uint64_t>::max()) {
                 return parse_count(arg, value(), max);
             };
+            const auto rate = [&] { return parse_rate(arg, value()); };
             constexpr std::uint64_t int64_max = std::numeric_limits<std::int64_t>::max();
             if (arg == "--pipe") {
                 pipe = true;
@@ -146,10 +152,6 @@ int main(int argc, char** argv)
                     static_cast<unsigned>(count(std::numeric_limits<unsigned>::max()));
             } else if (arg == "--no-coalesce") {
                 options.coalesce = false;
-            } else if (arg == "--max-batch") {
-                options.max_coalesce_scenarios = count();
-            } else if (arg == "--window-us") {
-                options.coalesce_window = std::chrono::microseconds(count(int64_max));
             } else if (arg == "--max-versions") {
                 options.max_versions_per_design = count();
             } else if (arg == "--queue-depth") {
@@ -169,13 +171,13 @@ int main(int argc, char** argv)
             } else if (arg == "--drain-timeout-ms") {
                 loop_options.drain_timeout = std::chrono::milliseconds(count(int64_max));
             } else if (arg == "--quota-rps") {
-                options.design_quota_rps = std::stod(value());
+                options.design_quota_rps = rate();
             } else if (arg == "--quota-burst") {
-                options.design_quota_burst = std::stod(value());
+                options.design_quota_burst = rate();
             } else if (arg == "--conn-rps") {
-                loop_options.limits.max_requests_per_second = std::stod(value());
+                loop_options.limits.max_requests_per_second = rate();
             } else if (arg == "--conn-burst") {
-                loop_options.limits.rate_burst = std::stod(value());
+                loop_options.limits.rate_burst = rate();
             } else {
                 std::cerr << "error: unrecognized argument '" << arg << "'\n";
                 return 1;

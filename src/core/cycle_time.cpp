@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdlib>
 #include <string>
 
@@ -470,27 +469,6 @@ void lane_border_sweep(const core_view& core, const lane_workspace& ws, node_id 
     }
 }
 
-#ifdef TSG_LANE_PROF
-struct lane_prof_state_t {
-    double t[4]{};
-    ~lane_prof_state_t()
-    {
-        std::fprintf(stderr, "lane phases: A %.6fs B %.6fs C %.6fs\n", t[0], t[1], t[2]);
-    }
-};
-inline lane_prof_state_t lane_prof_state;
-#define TSG_LANE_TICK(slot, ...)                                                      \
-    do {                                                                              \
-        const auto _t0 = std::chrono::steady_clock::now();                            \
-        __VA_ARGS__;                                                                  \
-        lane_prof_state.t[slot] +=                                                    \
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - _t0)     \
-                .count();                                                             \
-    } while (0)
-#else
-#define TSG_LANE_TICK(slot, ...) __VA_ARGS__
-#endif
-
 template <unsigned W>
 void analyze_cycle_time_lanes_impl(const compiled_graph& cg, const lane_domain& dom,
                                    std::uint32_t periods, lane_workspace& ws,
@@ -514,7 +492,7 @@ void analyze_cycle_time_lanes_impl(const compiled_graph& cg, const lane_domain& 
     // later is pure backtracking, no re-sweep (the blend stores vectorize;
     // re-running the winning origins with capture costs far more than
     // capturing everything once).
-    TSG_LANE_TICK(0, for (std::size_t k = 0; k < b; ++k) {
+    for (std::size_t k = 0; k < b; ++k) {
         const node_id origin = core.event_node[border[k]];
         ensure(origin != invalid_node, "analyze_cycle_time: border event outside the core");
         if (witness)
@@ -526,7 +504,7 @@ void analyze_cycle_time_lanes_impl(const compiled_graph& cg, const lane_domain& 
             lane_border_sweep<W, false>(core, ws, ws.topo_pos[origin], periods,
                                         ws.t_prev.data(), ws.t_cur.data(),
                                         ws.origin_time.data() + k * rows * W, nullptr);
-    });
+    }
 
     // Phase B: per-lane lambda.  Scanning (run, period) lexicographically
     // with a strict comparison reproduces the scalar reduction exactly:
@@ -539,7 +517,7 @@ void analyze_cycle_time_lanes_impl(const compiled_graph& cg, const lane_domain& 
         rational lambda;
     };
     std::array<lane_pick, W> pick;
-    TSG_LANE_TICK(1, for (unsigned l = 0; l < W; ++l) {
+    for (unsigned l = 0; l < W; ++l) {
         if (dom.evicted(l)) continue;
         lane_pick& p = pick[l];
         // Arg-max in the integer domain: within one lane the scale cancels,
@@ -565,7 +543,7 @@ void analyze_cycle_time_lanes_impl(const compiled_graph& cg, const lane_domain& 
                "analyze_cycle_time: no border simulation closed a cycle within b periods");
         p.lambda = dom.unscale(l, best_v) / rational(p.period);
         out[l].cycle_time = p.lambda;
-    });
+    }
 
     // Phase C: witness extraction per lane — backtrack the captured
     // predecessor chain of the lane's winning run, then peel.
@@ -574,7 +552,7 @@ void analyze_cycle_time_lanes_impl(const compiled_graph& cg, const lane_domain& 
             if (!dom.evicted(l)) out[l].critical_cycle_arcs.clear();
         return;
     }
-    TSG_LANE_TICK(2, for (unsigned l = 0; l < W; ++l) {
+    for (unsigned l = 0; l < W; ++l) {
         if (dom.evicted(l)) continue;
         const node_id origin = core.event_node[border[pick[l].run]];
         const std::int64_t* pred = ws.pred.data() + pick[l].run * rows * n * W;
@@ -605,7 +583,7 @@ void analyze_cycle_time_lanes_impl(const compiled_graph& cg, const lane_domain& 
         out[l].critical_cycle_arcs.reserve(critical.size());
         for (const arc_id a : critical)
             out[l].critical_cycle_arcs.push_back(core.arc_original[a]);
-    });
+    }
 }
 
 } // namespace

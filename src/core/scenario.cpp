@@ -54,12 +54,13 @@ void finish_cyclic_outcome(scenario_outcome& out, const compiled_graph& bound,
     }
 }
 
-/// Full analysis of one bound snapshot — the scalar evaluation shared by
-/// the rebind path (evaluate) and the structural path (run_structural).
-scenario_outcome evaluate_bound(const compiled_graph& bound, bool with_slack,
-                                unsigned analysis_threads, cycle_time_solver solver,
-                                bool with_witness)
+} // namespace
+
+scenario_outcome scenario_engine::evaluate(const std::vector<rational>& delay,
+                                           bool with_slack, unsigned analysis_threads,
+                                           cycle_time_solver solver, bool with_witness) const
 {
+    const compiled_graph bound = base_->rebind(delay);
     scenario_outcome out;
     if (!bound.has_core()) {
         // Acyclic: the what-if quantity is the PERT makespan.
@@ -82,63 +83,6 @@ scenario_outcome evaluate_bound(const compiled_graph& bound, bool with_slack,
                                           : bound.fixed_point();
     if (with_witness) out.critical_cycle = canonical_cycle(ct.critical_cycle_arcs);
     finish_cyclic_outcome(out, bound, with_slack, with_witness, ct.critical_cycle_arcs);
-    return out;
-}
-
-} // namespace
-
-scenario_outcome scenario_engine::evaluate(const std::vector<rational>& delay,
-                                           bool with_slack, unsigned analysis_threads,
-                                           cycle_time_solver solver, bool with_witness) const
-{
-    return evaluate_bound(base_->rebind(delay), with_slack, analysis_threads, solver,
-                          with_witness);
-}
-
-structural_batch_result scenario_engine::run_structural(
-    const std::vector<structural_scenario>& scenarios,
-    const scenario_batch_options& options) const
-{
-    require(!scenarios.empty(), "scenario_engine::run_structural: empty batch");
-
-    structural_batch_result out;
-    out.outcomes.resize(scenarios.size());
-
-    // One private incremental engine serves the whole batch: apply,
-    // analyze, undo.  Serial by design — every edit patches the shared
-    // structure in place, so the parallelism knob that remains is the
-    // per-analysis thread budget.
-    incremental_engine eng(base_->source());
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        const structural_scenario& s = scenarios[i];
-        structural_outcome& res = out.outcomes[i];
-        const bool edited = !s.edits.empty(); // delay-only what-ifs skip the engine
-        if (edited) {
-            try {
-                eng.apply(s.edits);
-            } catch (const error& e) {
-                res.message = e.what(); // rejected: engine already rolled back
-                continue;
-            }
-        }
-        try {
-            if (s.delay.empty()) {
-                res.outcome = evaluate_bound(eng.compiled(), options.with_slack,
-                                             options.max_threads, options.solver,
-                                             options.with_witness);
-            } else {
-                res.outcome = evaluate_bound(eng.compiled().rebind(s.delay),
-                                             options.with_slack, options.max_threads,
-                                             options.solver, options.with_witness);
-            }
-            res.accepted = true;
-        } catch (const error&) {
-            if (edited) eng.undo();
-            throw; // analysis/rebind failure is a caller bug, not a what-if result
-        }
-        if (edited) eng.undo();
-    }
-    out.counters = eng.counters();
     return out;
 }
 

@@ -54,7 +54,6 @@
 
 #include "core/compiled_graph.h"
 #include "core/cycle_time.h"
-#include "core/incremental.h"
 #include "ratio/howard.h"
 #include "sg/signal_graph.h"
 #include "util/parallel.h"
@@ -216,40 +215,6 @@ struct scenario_batch_options {
     unsigned lane_width = 0;
 };
 
-// --- structural what-ifs -----------------------------------------------------
-
-/// One structural what-if: an edit batch (core/graph_edit.h) applied to
-/// the *base* graph — scenarios are independent, not cumulative — plus an
-/// optional delay reassignment on the edited structure.
-struct structural_scenario {
-    std::string label;
-    edit_batch edits;
-
-    /// Full per-arc delays on the *edited* structure (its arc ids, which
-    /// extend the base graph's: surviving arcs keep their ids, added arcs
-    /// take fresh ones).  Empty means the edited graph's own delays.
-    std::vector<rational> delay;
-};
-
-/// Outcome of one structural scenario.  Arc ids in `outcome` refer to the
-/// edited structure (base ids for surviving arcs).
-struct structural_outcome {
-    /// False when the edit batch was rejected (liveness, strong
-    /// connectivity, boundedness, well-formedness); `message` then carries
-    /// the rejection reason and `outcome` is default-constructed.
-    bool accepted = false;
-    std::string message;
-    scenario_outcome outcome;
-};
-
-struct structural_batch_result {
-    std::vector<structural_outcome> outcomes;
-
-    /// Work accounting of the incremental engine that served the batch —
-    /// how local the structural edits stayed (apply + undo per scenario).
-    incremental_counters counters;
-};
-
 /// The batch engine: holds the compiled structural snapshot, a long-lived
 /// worker pool, and evaluates delay assignments against the snapshot.  The
 /// compiled_graph (and its source signal_graph) must outlive the engine.
@@ -279,18 +244,6 @@ public:
     /// empty batch or a scenario whose delay vector has the wrong size.
     [[nodiscard]] scenario_batch_result run(const std::vector<scenario>& scenarios,
                                             const scenario_batch_options& options = {}) const;
-
-    /// Evaluates every structural scenario against one incremental engine
-    /// (core/incremental.h): apply the edit batch, analyze, undo —
-    /// serially, since each edit patches the shared structure in place.
-    /// Rejected batches (liveness, connectivity, well-formedness) produce
-    /// an unaccepted outcome carrying the rejection message; the engine is
-    /// rolled back and later scenarios are unaffected.  Honors with_slack /
-    /// with_witness / solver / max_threads from `options` (the delay-batch
-    /// knob lane_width does not apply).
-    [[nodiscard]] structural_batch_result run_structural(
-        const std::vector<structural_scenario>& scenarios,
-        const scenario_batch_options& options = {}) const;
 
 private:
     [[nodiscard]] thread_pool& acquire_pool(unsigned max_threads) const;

@@ -1,7 +1,6 @@
 #include "core/service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -15,12 +14,10 @@ namespace tsg {
 
 // --- internal structures -----------------------------------------------------
 
-/// One queued request with its completion channel: a promise (submit)
-/// or a callback (submit_async — the epoll transport's path).
+/// One queued request with its completion callback.
 struct analysis_service::pending {
     analysis_request request;
-    std::promise<analysis_response> promise;
-    std::function<void(analysis_response)> callback;
+    std::function<void(analysis_response)> done;
     std::chrono::steady_clock::time_point enqueued;
     /// Absolute deadline computed at admission from options.deadline_ms
     /// (epoch default: none).  Expired jobs are shed before execution and
@@ -30,14 +27,6 @@ struct analysis_service::pending {
     [[nodiscard]] bool expired(std::chrono::steady_clock::time_point now) const
     {
         return deadline.time_since_epoch().count() != 0 && now >= deadline;
-    }
-
-    void deliver(analysis_response response)
-    {
-        if (callback)
-            callback(std::move(response));
-        else
-            promise.set_value(std::move(response));
     }
 };
 
@@ -108,6 +97,11 @@ void copy_engine_accounting(const scenario_batch_result& from, scenario_batch_re
     to.scalar_scenarios = from.scalar_scenarios;
 }
 
+/// Scenario budget of one merged batch: the coalescer admits no partner
+/// that would take the batch past it, and a request at or above it merges
+/// with nothing.
+constexpr std::size_t max_coalesce_scenarios = 256;
+
 bool coalescable(const analysis_request& request)
 {
     return request.kind == request_kind::sweep ||
@@ -134,12 +128,7 @@ std::string payload_cache_key(const analysis_request& request)
 // --- lifecycle ---------------------------------------------------------------
 
 analysis_service::analysis_service(service_options options)
-    : options_(std::move(options)), start_(std::chrono::steady_clock::now()),
-      latency_(/*arc_count=*/0,
-               options_.latency_histogram_bins == 0 ? 64 : options_.latency_histogram_bins,
-               rational(0),
-               options_.latency_histogram_hi > rational(0) ? options_.latency_histogram_hi
-                                                           : rational(1000000))
+    : options_(std::move(options)), start_(std::chrono::steady_clock::now())
 {
     const unsigned n = std::max(1u, options_.workers);
     workers_.reserve(n);
@@ -313,33 +302,17 @@ std::vector<scenario> analysis_service::scenarios_for(design_version& version,
 
 std::uint64_t analysis_service::take_quota_token(const std::string& id)
 {
-    const double rate = options_.design_quota_rps;
-    if (rate <= 0.0) return 0;
-    const double burst = options_.design_quota_burst > 0.0
-                             ? options_.design_quota_burst
-                             : std::max(1.0, std::ceil(rate));
+    if (options_.design_quota_rps <= 0.0) return 0;
     const auto now = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lk(quota_mutex_);
     auto it = quotas_.find(id);
     if (it == quotas_.end()) {
         if (!registered(id)) return 0; // unknown ids answer unknown_design
-        it = quotas_.emplace(id, token_bucket{}).first;
+        it = quotas_.emplace(id, token_bucket(options_.design_quota_rps,
+                                              options_.design_quota_burst))
+                 .first;
     }
-    token_bucket& bucket = it->second;
-    if (!bucket.primed) {
-        bucket.tokens = burst;
-        bucket.primed = true;
-    } else {
-        const double dt = std::chrono::duration<double>(now - bucket.last).count();
-        bucket.tokens = std::min(burst, bucket.tokens + rate * dt);
-    }
-    bucket.last = now;
-    if (bucket.tokens >= 1.0) {
-        bucket.tokens -= 1.0;
-        return 0;
-    }
-    const double wait_ms = (1.0 - bucket.tokens) / rate * 1000.0;
-    return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::ceil(wait_ms)));
+    return it->second.take(now);
 }
 
 std::optional<api_error> analysis_service::admit(pending job)
@@ -371,17 +344,6 @@ std::optional<api_error> analysis_service::admit(pending job)
     }
     {
         std::lock_guard<std::mutex> lk(queue_mutex_);
-        // Arrival-rate EWMA for the adaptive coalescing window: smoothed
-        // inter-arrival time in microseconds of the recent request stream.
-        if (arrival_seen_) {
-            const double us =
-                std::chrono::duration<double, std::micro>(now - last_arrival_).count();
-            arrival_ewma_us_ =
-                arrival_ewma_us_ <= 0.0 ? us : 0.8 * arrival_ewma_us_ + 0.2 * us;
-        }
-        arrival_seen_ = true;
-        last_arrival_ = now;
-
         const bool drain = stopping_ || draining_.load(std::memory_order_acquire);
         if (drain && !(probe && !stopping_)) {
             refusal = api_error{"draining",
@@ -416,27 +378,7 @@ std::optional<api_error> analysis_service::admit(pending job)
         if (refusal->code == "overloaded") ++t.shed;
         if (refusal->code == "rate_limited") ++t.rate_limited;
     });
-    // Promise-channel jobs receive the refusal as an immediately-ready
-    // response; callback-channel jobs never run their callback — the
-    // transport answers from the returned error without a thread handoff.
-    if (!job.callback) {
-        analysis_response response;
-        response.id = job.request.id;
-        response.ok = false;
-        response.error = *refusal;
-        job.promise.set_value(std::move(response));
-    }
     return refusal;
-}
-
-std::future<analysis_response> analysis_service::submit(analysis_request request)
-{
-    pending job;
-    job.request = std::move(request);
-    job.enqueued = std::chrono::steady_clock::now();
-    std::future<analysis_response> result = job.promise.get_future();
-    (void)admit(std::move(job)); // a refusal is already delivered into the future
-    return result;
 }
 
 std::optional<api_error> analysis_service::submit_async(
@@ -444,9 +386,26 @@ std::optional<api_error> analysis_service::submit_async(
 {
     pending job;
     job.request = std::move(request);
-    job.callback = std::move(done);
+    job.done = std::move(done);
     job.enqueued = std::chrono::steady_clock::now();
     return admit(std::move(job));
+}
+
+std::future<analysis_response> analysis_service::submit(analysis_request request)
+{
+    // std::function needs a copyable callable, so the promise is shared.
+    auto promise = std::make_shared<std::promise<analysis_response>>();
+    std::future<analysis_response> result = promise->get_future();
+    analysis_response refused;
+    refused.id = request.id;
+    const auto deliver = [promise](analysis_response response) {
+        promise->set_value(std::move(response));
+    };
+    if (std::optional<api_error> refusal = submit_async(std::move(request), deliver)) {
+        refused.error = std::move(*refusal);
+        promise->set_value(std::move(refused));
+    }
+    return result;
 }
 
 analysis_response analysis_service::execute(analysis_request request)
@@ -536,18 +495,8 @@ void analysis_service::finish(pending& job, analysis_response response)
     const auto now = std::chrono::steady_clock::now();
     response.elapsed_ms =
         std::chrono::duration<double, std::milli>(now - job.enqueued).count();
-    const std::int64_t us =
-        std::chrono::duration_cast<std::chrono::microseconds>(now - job.enqueued)
-            .count();
-    {
-        // Latency dogfoods the statistical layer: each request is one
-        // "scenario outcome" whose cycle time is its microsecond latency.
-        std::lock_guard<std::mutex> lk(latency_mutex_);
-        scenario_outcome sample;
-        sample.cycle_time = rational(us);
-        sample.fixed_point = true;
-        latency_.add(sample);
-    }
+    latency_.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(now - job.enqueued).count()));
     if (!response.ok) failures_.fetch_add(1, std::memory_order_relaxed);
     bump_fleet(job.request.design.id, [&](design_traffic& t) {
         ++t.requests;
@@ -555,33 +504,7 @@ void analysis_service::finish(pending& job, analysis_response response)
         // A cached payload re-reports its original run's scenario count.
         t.scenarios += response.scenarios;
     });
-    job.deliver(std::move(response));
-}
-
-std::chrono::microseconds analysis_service::adaptive_coalesce_window(
-    double arrival_ewma_us, std::chrono::microseconds cap)
-{
-    // An isolated request must not wait for partners that are not coming:
-    // above a 200us mean inter-arrival time (< 5k requests/s) the window
-    // stays 0.  Denser streams wait ~4 inter-arrival times, enough for a
-    // handful of partners to land, clamped to the configured cap.
-    if (arrival_ewma_us <= 0.0 || arrival_ewma_us > 200.0)
-        return std::chrono::microseconds{0};
-    const auto window =
-        std::chrono::microseconds(static_cast<std::int64_t>(4.0 * arrival_ewma_us));
-    return std::min(cap, window);
-}
-
-std::chrono::microseconds analysis_service::coalesce_wait() const
-{
-    if (options_.coalesce_window.count() > 0) return options_.coalesce_window;
-    if (!options_.adaptive_window) return std::chrono::microseconds{0};
-    double ewma = 0.0;
-    {
-        std::lock_guard<std::mutex> lk(queue_mutex_);
-        ewma = arrival_ewma_us_;
-    }
-    return adaptive_coalesce_window(ewma, options_.adaptive_window_cap);
+    job.done(std::move(response));
 }
 
 void analysis_service::shed_expired(pending& job)
@@ -728,9 +651,7 @@ void analysis_service::handle_batch(pending first)
     // engine knobs — served against this worker's resolved snapshot (the
     // merged batch linearizes before any concurrently committed edit).
     std::size_t total = parts[0].size();
-    if (options_.coalesce && total > 0 && total < options_.max_coalesce_scenarios) {
-        const std::chrono::microseconds window = coalesce_wait();
-        if (window.count() > 0) std::this_thread::sleep_for(window);
+    if (options_.coalesce && total > 0 && total < max_coalesce_scenarios) {
         std::vector<pending> partners;
         {
             std::lock_guard<std::mutex> lk(queue_mutex_);
@@ -750,7 +671,7 @@ void analysis_service::handle_batch(pending first)
                 const std::size_t predicted = cand.kind == request_kind::montecarlo
                                                   ? cand.options.samples
                                                   : parts[0].size();
-                if (total + predicted > options_.max_coalesce_scenarios) {
+                if (total + predicted > max_coalesce_scenarios) {
                     ++it;
                     continue;
                 }
@@ -905,7 +826,6 @@ service_metrics analysis_service::metrics() const
         std::lock_guard<std::mutex> lk(queue_mutex_);
         m.queue_depth = queue_.size();
         m.queue_peak = queue_peak_;
-        m.arrival_ewma_us = arrival_ewma_us_;
     }
     {
         std::lock_guard<std::mutex> lk(fleet_mutex_);
@@ -920,16 +840,11 @@ service_metrics analysis_service::metrics() const
     m.scenarios_per_second = m.uptime_seconds > 0.0
                                  ? static_cast<double>(m.scenarios) / m.uptime_seconds
                                  : 0.0;
-    {
-        std::lock_guard<std::mutex> lk(latency_mutex_);
-        m.latency_samples = latency_.count();
-        if (m.latency_samples > 0) {
-            m.latency_mean_us = latency_.mean();
-            m.latency_p50_us = latency_.quantile(0.50);
-            m.latency_p95_us = latency_.quantile(0.95);
-            m.latency_p99_us = latency_.quantile(0.99);
-        }
-    }
+    m.latency_samples = latency_.count();
+    m.latency_mean_us = latency_.mean();
+    m.latency_p50_us = latency_.quantile(0.50);
+    m.latency_p95_us = latency_.quantile(0.95);
+    m.latency_p99_us = latency_.quantile(0.99);
     return m;
 }
 
@@ -961,7 +876,6 @@ std::string analysis_service::stats_json() const
         .key("deadline_expired").value(m.deadline_expired)
         .key("drain_rejected").value(m.drain_rejected)
         .key("draining").value(m.draining)
-        .key("arrival_ewma_us").value(m.arrival_ewma_us)
         .end_object();
     out.key("cache").begin_object()
         .key("hits").value(m.cache_hits)

@@ -28,24 +28,27 @@
 //     accounting block (lane groups, scalar tail) reports the merged
 //     batch's physical execution — the one documented difference.
 //
-// Serving metrics dogfood the statistical layer: per-request latencies
-// stream through a stats_accumulator (core/stats.h) in microseconds, so
-// the `stats` request kind reports p50/p95/p99 straight from the same
-// histogram quantile machinery the timing analyses use.
+// Request latencies (submit to completion, whole microseconds) go into a
+// lock-free log-linear histogram (util/latency_histogram.h), so the
+// `stats` request kind reports p50/p95/p99 within 1/64 of a recorded
+// latency.
 //
 // Admission control keeps the daemon responsive under bursty traffic:
 // the request queue is bounded (service_options::max_queue_depth), and
 // arrivals beyond the bound are shed immediately with a structured
 // "overloaded" response instead of growing the deque without limit — a
 // client sees either its result or a prompt, retryable error, never an
-// unbounded wait.  Deterministic batch payloads are additionally cached
-// across requests (keyed on design version + canonical request body,
-// bounded by a per-version byte budget), and per-design fleet counters
-// break the serving traffic down in the `stats` payload.
+// unbounded wait.  Per-design quotas are token buckets
+// (util/token_bucket.h), the same policy as the event loop's
+// per-connection limit.  Deterministic batch payloads are additionally
+// cached across requests (keyed on design version + canonical request
+// body, bounded by a per-version byte budget), and per-design fleet
+// counters break the serving traffic down in the `stats` payload.
 //
-// Transport is the caller's problem: submit() is the in-process API
-// (thread-safe, returns a future), submit_async() the callback flavour
-// the epoll transport (net/event_loop.h) drives, and serve_stream()
+// Transport is the caller's problem: submit_async() is the one
+// submission path (a completion callback; the epoll transport in
+// net/event_loop.h drives it), submit() wraps it in a future for
+// in-process callers, and serve_stream()
 // speaks newline-delimited JSON over any iostream pair (tsg_serve's
 // --pipe mode and the tests sit on it).  serve_stream handles one request
 // per line in order, so a stream replay is byte-identical to running the
@@ -71,9 +74,10 @@
 #include <vector>
 
 #include "core/api.h"
-#include "core/stats.h"
 #include "sg/signal_graph.h"
+#include "util/latency_histogram.h"
 #include "util/rational.h"
+#include "util/token_bucket.h"
 
 namespace tsg {
 
@@ -84,19 +88,11 @@ struct service_options {
     /// max_threads).  0 is clamped to 1.
     unsigned workers = 2;
 
-    /// Merge compatible queued batch requests into one engine run.  Off
+    /// Merge compatible batch requests already queued into one engine run
+    /// (up to 256 scenarios; no worker waits for partners).  Off
     /// reproduces strict one-request-per-batch execution (the solo
     /// baseline the benchmark compares against).
     bool coalesce = true;
-
-    /// Scenario budget per merged batch: the coalescer stops admitting
-    /// partners when the merged batch would exceed this many scenarios.
-    std::size_t max_coalesce_scenarios = 256;
-
-    /// Extra time a worker waits for merge partners after popping a batch
-    /// request, before scanning the queue.  0 (the default) coalesces
-    /// only what is already queued — natural batching under load.
-    std::chrono::microseconds coalesce_window{0};
 
     /// Versions kept per design chain.  Committing an edit beyond this
     /// evicts the least-recently-used non-latest version; pinned requests
@@ -110,13 +106,6 @@ struct service_options {
     /// admission-control behaviour).
     std::size_t max_queue_depth = 1024;
 
-    /// When coalesce_window is 0, scale a waiting window from the recent
-    /// request arrival rate: under bursty traffic a worker briefly waits
-    /// for merge partners (up to adaptive_window_cap), at low rates it
-    /// never waits — latency is only spent where coalescing can pay.
-    bool adaptive_window = true;
-    std::chrono::microseconds adaptive_window_cap{400};
-
     /// Cross-request payload cache: deterministic batch requests (sweep,
     /// seeded non-adaptive Monte Carlo) with an identical body hitting the
     /// same design version are served the first response's payload bytes
@@ -129,16 +118,12 @@ struct service_options {
     /// served but never cached.
     std::size_t payload_cache_bytes = std::size_t{1} << 20;
 
-    /// Latency histogram: bin count and support [0, hi] in microseconds
-    /// (quantiles clamp to the observed exact extremes regardless).
-    std::size_t latency_histogram_bins = 64;
-    rational latency_histogram_hi = rational(1000000);
-
-    /// Per-design admission quota: a token bucket per design id refilled
-    /// at `design_quota_rps` requests/second with capacity
-    /// `design_quota_burst` (0 burst derives max(1, ceil(rps))).  Requests
-    /// beyond the quota are shed with a structured "rate_limited" error
-    /// carrying a retry_after_ms hint.  rps 0 disables quotas.  stats and
+    /// Per-design admission quota: a token bucket (util/token_bucket.h)
+    /// per registered design, refilled at `design_quota_rps` requests per
+    /// second with capacity `design_quota_burst` (0 burst derives
+    /// max(1, ceil(rps))).  Requests beyond the quota are shed with a
+    /// structured "rate_limited" error carrying a retry_after_ms hint of
+    /// ceil(ms until the next token).  rps 0 disables quotas.  stats and
     /// health probes are exempt (they never name a design's work).
     double design_quota_rps = 0.0;
     double design_quota_burst = 0.0;
@@ -180,10 +165,6 @@ struct service_metrics {
     std::size_t designs = 0;
     std::size_t versions = 0; ///< live snapshots across every chain
 
-    /// Smoothed inter-arrival time of recent requests (microseconds; 0
-    /// until two requests have arrived) — the adaptive window's input.
-    double arrival_ewma_us = 0.0;
-
     /// Per-design traffic breakdown, sorted by design id.
     std::vector<std::pair<std::string, design_traffic>> fleet;
 
@@ -194,8 +175,8 @@ struct service_metrics {
     double uptime_seconds = 0.0;
     double scenarios_per_second = 0.0;
 
-    /// Latency distribution (microseconds, submit to completion), from
-    /// the dogfooded stats_accumulator.
+    /// Latency distribution (microseconds, submit to completion):
+    /// nearest-rank quantiles at their histogram bucket's midpoint.
     std::size_t latency_samples = 0;
     double latency_mean_us = 0.0;
     double latency_p50_us = 0.0;
@@ -218,22 +199,20 @@ public:
     /// (creating the chain at version 1).  Returns the new version.
     std::uint64_t register_design(const std::string& id, const signal_graph& sg);
 
-    /// Enqueues one request; the future completes when a worker (or a
-    /// coalesced batch) has served it.  Requests must reference a
+    /// The submission path: `done` runs exactly once, on the worker
+    /// thread that completes the request.  Requests must reference a
     /// registered design by id — path/text/demo references are the
-    /// tool's stand-alone mode, not the service's.  When admission
-    /// control sheds the request the future is ready immediately with an
-    /// "overloaded" error response.
-    [[nodiscard]] std::future<analysis_response> submit(analysis_request request);
-
-    /// The transport-facing submission path: `done` runs exactly once, on
-    /// the worker thread that completes the request.  Returns nullopt on
+    /// tool's stand-alone mode, not the service's.  Returns nullopt on
     /// acceptance; otherwise the structured error to hand the client
-    /// (queue full, service stopping) — `done` then never runs, so a
+    /// (queue full, quota, draining) — `done` then never runs, so a
     /// non-blocking caller (the epoll loop) can respond synchronously
     /// without parking a thread on a future.
     [[nodiscard]] std::optional<api_error> submit_async(
         analysis_request request, std::function<void(analysis_response)> done);
+
+    /// submit_async() completing a future.  A refused request's future is
+    /// ready when submit() returns, holding the structured error.
+    [[nodiscard]] std::future<analysis_response> submit(analysis_request request);
 
     /// submit() + get(): the synchronous convenience.
     [[nodiscard]] analysis_response execute(analysis_request request);
@@ -268,14 +247,6 @@ public:
     /// shrinks; without it new submissions can extend the wait.
     [[nodiscard]] bool wait_idle(std::chrono::milliseconds timeout);
 
-    /// The arrival-rate-adaptive coalescing window: 0 at low rates (an
-    /// isolated request should not wait for partners that are not
-    /// coming), then a few inter-arrival times — clamped to `cap` — once
-    /// arrivals are dense enough that a short wait fills a lane group.
-    /// Pure; exposed for the backpressure tests.
-    [[nodiscard]] static std::chrono::microseconds adaptive_coalesce_window(
-        double arrival_ewma_us, std::chrono::microseconds cap);
-
 private:
     struct design_version;
     struct design_entry;
@@ -290,10 +261,9 @@ private:
     [[nodiscard]] analysis_response respond_error(const pending& job,
                                                   const std::string& diagnostic);
 
-    /// Enqueues `job` unless admission control sheds it; on shedding the
-    /// returned error is also delivered through the job's channel.
+    /// Enqueues `job` unless admission control sheds it; a shed job's
+    /// callback never runs.
     [[nodiscard]] std::optional<api_error> admit(pending job);
-    [[nodiscard]] std::chrono::microseconds coalesce_wait() const;
 
     /// True when `id` names a registered design.  Per-design state (fleet
     /// counters, quota buckets) exists only for these, so requests naming
@@ -341,10 +311,6 @@ private:
     std::size_t busy_workers_ = 0; ///< workers currently serving a job
     bool stopping_ = false;
     std::atomic<bool> draining_{false};
-    /// Arrival-rate tracking for the adaptive window (under queue_mutex_).
-    bool arrival_seen_ = false;
-    std::chrono::steady_clock::time_point last_arrival_;
-    double arrival_ewma_us_ = 0.0;
 
     std::vector<std::thread> workers_;
 
@@ -362,23 +328,15 @@ private:
     std::atomic<std::uint64_t> edits_{0};
     std::atomic<std::uint64_t> evictions_{0};
 
-    mutable std::mutex latency_mutex_;
-    stats_accumulator latency_; ///< microseconds as exact cycle times
+    latency_histogram latency_; ///< whole microseconds, submit to completion
 
     mutable std::mutex fleet_mutex_;
     std::map<std::string, design_traffic> fleet_;
 
-    /// Per-design token buckets (design_quota_rps > 0).  tokens refills
-    /// continuously at design_quota_rps up to the burst capacity; an
-    /// admission takes one token or sheds with a retry_after_ms hint.
-    struct token_bucket {
-        double tokens = 0.0;
-        std::chrono::steady_clock::time_point last{};
-        bool primed = false;
-    };
-    /// Takes one token from `id`'s bucket.  Returns 0 on admission (always
-    /// for unregistered ids, which resolve to unknown_design), else the
-    /// suggested retry delay in milliseconds (>= 1).
+    /// Takes one token from `id`'s quota bucket (design_quota_rps > 0).
+    /// Returns 0 on admission (always for unregistered ids, which resolve
+    /// to unknown_design), else the suggested retry delay in milliseconds
+    /// (>= 1).
     [[nodiscard]] std::uint64_t take_quota_token(const std::string& id);
     mutable std::mutex quota_mutex_;
     std::map<std::string, token_bucket> quotas_;

@@ -19,17 +19,20 @@
 //     contiguous write buffer and shipped with as few send() calls as
 //     the socket accepts (the Galois buffered-network idiom);
 //   * the write buffer is bounded — a slow reader that lets it grow past
-//     the cap is disconnected rather than allowed to pin server memory.
+//     the cap is disconnected rather than allowed to pin server memory;
+//   * requests are rate limited per connection by a token bucket
+//     (util/token_bucket.h), the policy the service's design quotas use.
 #ifndef TSG_NET_CONNECTION_H
 #define TSG_NET_CONNECTION_H
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
+
+#include "util/token_bucket.h"
 
 namespace tsg::net {
 
@@ -73,7 +76,8 @@ struct connection_limits {
     /// `max_requests_per_second` with capacity `rate_burst` (0 burst
     /// derives max(1, ceil(rate))).  Requests over the rate are answered
     /// with a structured "rate_limited" error carrying a retry_after_ms
-    /// hint — the connection itself stays up.  0 disables the limit.
+    /// hint of ceil(ms until the next token) — the connection itself
+    /// stays up.  0 disables the limit.
     double max_requests_per_second = 0.0;
     double rate_burst = 0.0;
 };
@@ -84,7 +88,8 @@ class connection {
 public:
     connection(int fd, std::uint64_t id, connection_limits limits)
         : fd_(fd), id_(id), limits_(limits), splitter_(limits.max_line_bytes),
-          last_activity_(std::chrono::steady_clock::now())
+          last_activity_(std::chrono::steady_clock::now()),
+          rate_limit_(limits.max_requests_per_second, limits.rate_burst)
     {
     }
 
@@ -187,34 +192,9 @@ public:
     }
     void touch() { last_activity_ = std::chrono::steady_clock::now(); }
 
-    // --- request-rate limiting ---------------------------------------------
-
-    /// Takes one token from the connection's rate bucket.  Returns 0 when
-    /// the request is admitted, else the suggested retry delay in whole
-    /// milliseconds (>= 1).  No-op (always 0) when the limit is off.
-    [[nodiscard]] std::uint64_t take_rate_token()
-    {
-        const double rate = limits_.max_requests_per_second;
-        if (rate <= 0.0) return 0;
-        const double burst =
-            limits_.rate_burst > 0.0 ? limits_.rate_burst : (rate < 1.0 ? 1.0 : rate);
-        const auto now = std::chrono::steady_clock::now();
-        if (!rate_primed_) {
-            rate_tokens_ = burst;
-            rate_primed_ = true;
-        } else {
-            const double dt = std::chrono::duration<double>(now - rate_last_).count();
-            rate_tokens_ = std::min(burst, rate_tokens_ + rate * dt);
-        }
-        rate_last_ = now;
-        if (rate_tokens_ >= 1.0) {
-            rate_tokens_ -= 1.0;
-            return 0;
-        }
-        const double wait_ms = (1.0 - rate_tokens_) / rate * 1000.0;
-        const auto hinted = static_cast<std::uint64_t>(wait_ms) + 1;
-        return hinted;
-    }
+    /// The connection's request-rate bucket (admits everything when
+    /// max_requests_per_second is 0).
+    token_bucket& rate_limit() { return rate_limit_; }
 
 private:
     struct slot {
@@ -232,9 +212,7 @@ private:
     std::size_t write_pos_ = 0;
     std::deque<std::string> backlog_;
     std::chrono::steady_clock::time_point last_activity_;
-    double rate_tokens_ = 0.0;
-    std::chrono::steady_clock::time_point rate_last_{};
-    bool rate_primed_ = false;
+    token_bucket rate_limit_;
 };
 
 } // namespace tsg::net

@@ -17,6 +17,7 @@
 #include "core/api.h"
 #include "core/service.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace tsg::net {
 
@@ -479,14 +480,15 @@ void event_loop_server::process_backlog(connection& conn)
         // load balancer's health checks must not compete with the client
         // traffic they supervise.
         if (request.kind != request_kind::health && request.kind != request_kind::stats) {
-            const std::uint64_t retry_ms = conn.take_rate_token();
+            const std::uint64_t retry_ms =
+                conn.rate_limit().take(std::chrono::steady_clock::now());
             if (retry_ms > 0) {
                 analysis_response limited;
                 limited.id = request.id;
                 limited.ok = false;
                 limited.error = {"rate_limited",
                                  "connection request rate exceeds " +
-                                     std::to_string(conn.limits().max_requests_per_second) +
+                                     format_double(conn.rate_limit().rate(), 6) +
                                      " requests/s; retry after the hinted backoff",
                                  retry_ms};
                 conn.complete_slot(seq, analysis_response_json(limited));

@@ -69,4 +69,23 @@ std::uint64_t parse_count(const std::string& flag, const std::string& text, std:
     return value;
 }
 
+double parse_rate(const std::string& flag, const std::string& text)
+{
+    // Validate the shape first: from_chars alone also takes a sign, an
+    // exponent, inf and nan.  digits_from returns npos when none follow.
+    const auto digits_from = [&](std::size_t i) {
+        const std::size_t start = i;
+        while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) ++i;
+        return i > start ? i : std::string::npos;
+    };
+    std::size_t end = digits_from(0);
+    if (end < text.size() && text[end] == '.') end = digits_from(end + 1);
+    double value = 0.0;
+    require(end == text.size() &&
+                std::from_chars(text.data(), text.data() + text.size(), value).ec ==
+                    std::errc{},
+            flag + " needs a non-negative decimal number, got '" + text + "'");
+    return value;
+}
+
 } // namespace tsg

@@ -35,6 +35,11 @@ namespace tsg {
                                         std::uint64_t max =
                                             std::numeric_limits<std::uint64_t>::max());
 
+/// Parses the value of a rate flag: a plain non-negative decimal (digits
+/// with an optional fraction; no sign, exponent, inf or nan) that fits a
+/// double.  Throws tsg::error naming `flag` otherwise.
+[[nodiscard]] double parse_rate(const std::string& flag, const std::string& text);
+
 } // namespace tsg
 
 #endif // TSG_UTIL_STRINGS_H

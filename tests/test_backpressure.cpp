@@ -1,4 +1,4 @@
-// Admission control, load shedding, adaptive coalescing and the
+// Admission control, load shedding, coalescing and the
 // cross-request payload cache (core/service.h), plus the shed path
 // through the epoll transport:
 //
@@ -13,8 +13,6 @@
 //     for byte, and the hit is counted per service and per design;
 //   * the cache stays within its per-version byte budget: an over-budget
 //     payload is served but never cached, and overflow clears;
-//   * the adaptive coalescing window scales from the arrival-rate EWMA:
-//     zero for sparse traffic, bounded multiples for dense bursts;
 //   * the stats payload exposes the admission, cache and per-design
 //     fleet blocks, and requests naming unknown design ids leave no
 //     per-design state behind (fleet rows, quota buckets).
@@ -80,7 +78,6 @@ TEST(Backpressure, BurstBeyondTheQueueBoundShedsExactlyTheOverflow)
     service_options options;
     options.workers = 1;
     options.coalesce = false;
-    options.adaptive_window = false;
     options.max_queue_depth = 4;
     analysis_service service(options);
     service.register_design("chip", c_oscillator_sg());
@@ -131,7 +128,6 @@ TEST(Backpressure, ShedReachesTheWireAsStructuredOverloadedResponses)
     service_options service_opts;
     service_opts.workers = 1;
     service_opts.coalesce = false;
-    service_opts.adaptive_window = false;
     service_opts.max_queue_depth = 1;
     serve_harness harness(service_opts);
 
@@ -336,43 +332,11 @@ TEST(Backpressure, CacheIsDisabledWhenConfiguredOff)
     EXPECT_EQ(service.metrics().cache_hits, 0u);
 }
 
-TEST(Backpressure, AdaptiveWindowScalesWithTheArrivalRate)
-{
-    using std::chrono::microseconds;
-    const microseconds cap{400};
-
-    // No arrivals yet, or sparse traffic: never wait.
-    EXPECT_EQ(analysis_service::adaptive_coalesce_window(0.0, cap), microseconds{0});
-    EXPECT_EQ(analysis_service::adaptive_coalesce_window(201.0, cap), microseconds{0});
-    EXPECT_EQ(analysis_service::adaptive_coalesce_window(5000.0, cap), microseconds{0});
-
-    // Dense traffic: ~4 inter-arrival times, clamped to the cap.
-    EXPECT_EQ(analysis_service::adaptive_coalesce_window(20.0, cap), microseconds{80});
-    EXPECT_EQ(analysis_service::adaptive_coalesce_window(50.0, cap), microseconds{200});
-    EXPECT_EQ(analysis_service::adaptive_coalesce_window(150.0, cap), cap);
-}
-
-TEST(Backpressure, ArrivalRateEwmaIsTrackedAcrossSubmits)
-{
-    service_options options;
-    options.workers = 1;
-    options.coalesce = false;
-    analysis_service service(options);
-    service.register_design("chip", c_oscillator_sg());
-
-    EXPECT_EQ(service.metrics().arrival_ewma_us, 0.0);
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(
-            service.submit(make_request(request_kind::analyze, std::to_string(i))).get().ok);
-    EXPECT_GT(service.metrics().arrival_ewma_us, 0.0);
-}
-
 TEST(Backpressure, StatsPayloadReportsAdmissionCacheAndFleet)
 {
     service_options options;
     options.workers = 1;
     options.coalesce = false;
-    options.adaptive_window = false;
     options.max_queue_depth = 2;
     analysis_service service(options);
     service.register_design("chip", c_oscillator_sg());

@@ -351,63 +351,5 @@ TEST(Scenario, ExplorerDelayCornersMatchTheExtractedModel)
               analyze_cycle_time(fresh).cycle_time);
 }
 
-TEST(Scenario, StructuralBatchEvaluatesIndependentEditWhatIfs)
-{
-    // Triangle a -> b -> c -> a (marked), lambda = 7.
-    sg_builder bld;
-    bld.event("a");
-    bld.event("b");
-    bld.event("c");
-    bld.arc("a", "b", rational(1));
-    bld.arc("b", "c", rational(2));
-    bld.marked_arc("c", "a", rational(4));
-    const signal_graph sg = bld.build();
-    const compiled_graph base(sg);
-    const scenario_engine engine(base);
-    const event_id a = sg.event_by_name("a");
-    const event_id b = sg.event_by_name("b");
-    const event_id c = sg.event_by_name("c");
-
-    std::vector<structural_scenario> batch(5);
-    batch[0].label = "slower first stage";
-    batch[0].edits = {graph_edit::set_delay_of(0, rational(3))};
-    batch[1].label = "marked back-arc";
-    batch[1].edits = {graph_edit::add(b, a, rational(10), /*marked=*/true)};
-    batch[2].label = "cut the loop";
-    batch[2].edits = {graph_edit::remove(2)};
-    batch[3].label = "token-free self-loop (rejected)";
-    batch[3].edits = {graph_edit::add(c, c, rational(1))};
-    batch[4].label = "uniform delays on the unedited structure";
-    batch[4].delay = {rational(2), rational(2), rational(2)};
-
-    const structural_batch_result res = engine.run_structural(batch);
-    ASSERT_EQ(res.outcomes.size(), 5u);
-
-    EXPECT_TRUE(res.outcomes[0].accepted);
-    EXPECT_EQ(res.outcomes[0].outcome.cycle_time, rational(9));
-    EXPECT_TRUE(res.outcomes[1].accepted);
-    EXPECT_EQ(res.outcomes[1].outcome.cycle_time, rational(11));
-    // Removing the marked arc leaves the acyclic chain: PERT makespan 3.
-    EXPECT_TRUE(res.outcomes[2].accepted);
-    EXPECT_EQ(res.outcomes[2].outcome.cycle_time, rational(3));
-    EXPECT_FALSE(res.outcomes[3].accepted);
-    EXPECT_FALSE(res.outcomes[3].message.empty());
-    EXPECT_TRUE(res.outcomes[4].accepted);
-    EXPECT_EQ(res.outcomes[4].outcome.cycle_time, rational(6));
-
-    // Scenarios are independent (each one undone) and the batch leaves the
-    // base snapshot untouched.
-    EXPECT_EQ(res.counters.undos, 3u);
-    EXPECT_EQ(res.counters.batches_applied, 3u);
-    EXPECT_EQ(engine.evaluate(base.delay()).cycle_time, rational(7));
-    EXPECT_EQ(base.structure_version(), 0u);
-
-    // Slack-level fields flow through: the edited structure's critical
-    // cycle covers all three arcs at uniform delays... and arc ids in the
-    // added-arc scenario extend the base ids.
-    EXPECT_EQ(res.outcomes[4].outcome.critical_arcs, (std::vector<arc_id>{0, 1, 2}));
-    EXPECT_EQ(res.outcomes[1].outcome.critical_cycle, (std::vector<arc_id>{0, 3}));
-}
-
 } // namespace
 } // namespace tsg

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <future>
 #include <limits>
 #include <map>
@@ -650,6 +651,46 @@ TEST(Service, StatsPayloadReflectsTraffic)
     EXPECT_GT(m.scenarios, 0u);
     EXPECT_EQ(m.failures, 0u);
     EXPECT_EQ(m.queue_depth, 0u);
+}
+
+TEST(Service, LatencyQuantilesMatchTheResponses)
+{
+    // Fast analyze requests and slow Monte Carlo runs: the reported
+    // quantiles must resolve both, not collapse them into one bin.
+    analysis_service service;
+    service.register_design("chip", c_oscillator_sg());
+    std::vector<double> elapsed_us;
+    for (int i = 0; i < 30; ++i) {
+        const std::string id = std::string("a").append(std::to_string(i));
+        const analysis_response r = service.execute(make_request(request_kind::analyze, id));
+        ASSERT_TRUE(r.ok) << r.error.message;
+        elapsed_us.push_back(r.elapsed_ms * 1000.0);
+    }
+    for (int i = 0; i < 5; ++i) {
+        const std::string id = std::string("m").append(std::to_string(i));
+        analysis_request mc = make_request(request_kind::montecarlo, id);
+        mc.options.samples = 5000;
+        mc.options.seed = static_cast<std::uint64_t>(i + 1);
+        const analysis_response r = service.execute(mc);
+        ASSERT_TRUE(r.ok) << r.error.message;
+        elapsed_us.push_back(r.elapsed_ms * 1000.0);
+    }
+    std::sort(elapsed_us.begin(), elapsed_us.end());
+    // Nearest rank: the ceil(q * n)-th smallest latency.
+    const auto exact = [&](double q) {
+        const auto rank = static_cast<std::size_t>(
+            std::ceil(q * static_cast<double>(elapsed_us.size())));
+        return elapsed_us[std::max<std::size_t>(rank, 1) - 1];
+    };
+
+    const service_metrics m = service.metrics();
+    EXPECT_EQ(m.latency_samples, elapsed_us.size());
+    for (const auto& [q, reported] : {std::pair{0.50, m.latency_p50_us},
+                                      std::pair{0.95, m.latency_p95_us},
+                                      std::pair{0.99, m.latency_p99_us}}) {
+        const double want = exact(q);
+        EXPECT_NEAR(reported, want, want / 64.0 + 1.0) << "q = " << q;
+    }
 }
 
 } // namespace

@@ -1,18 +1,24 @@
-// Unit tests for the PRNG, string helpers, table formatting and the JSON
-// writer and parser.
+// Unit tests for the PRNG, string helpers, table formatting, the JSON
+// writer and parser, the latency histogram and the token bucket.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/error.h"
 #include "util/json.h"
+#include "util/latency_histogram.h"
 #include "util/prng.h"
 #include "util/strings.h"
 #include "util/table.h"
+#include "util/token_bucket.h"
 
 namespace tsg {
 namespace {
@@ -118,6 +124,24 @@ TEST(Strings, ParseCountTakesPlainDigitsOnly)
         FAIL();
     } catch (const error& e) {
         EXPECT_NE(std::string(e.what()).find("--k"), std::string::npos) << e.what();
+    }
+}
+
+TEST(Strings, ParseRateTakesPlainNonNegativeDecimalsOnly)
+{
+    EXPECT_EQ(parse_rate("--quota-rps", "0"), 0.0);
+    EXPECT_EQ(parse_rate("--quota-rps", "20"), 20.0);
+    EXPECT_EQ(parse_rate("--quota-rps", "2.5"), 2.5);
+    EXPECT_EQ(parse_rate("--quota-rps", "007.250"), 7.25);
+    const std::string huge(400, '9'); // plain digits, but past the double range
+    for (const std::string bad : {"", "5abc", "-3", "+3", " 3", "3 ", "nan", "inf", "1e3",
+                                  "1e999", ".5", "5.", "0x10", "1.2.3", huge.c_str()})
+        EXPECT_THROW((void)parse_rate("--quota-rps", bad), error) << bad;
+    try {
+        (void)parse_rate("--conn-rps", "1e999");
+        FAIL();
+    } catch (const error& e) {
+        EXPECT_NE(std::string(e.what()).find("--conn-rps"), std::string::npos) << e.what();
     }
 }
 
@@ -271,6 +295,160 @@ TEST(JsonParse, EveryByteRoundTripsInsideAString)
     json_value obj = json_value::object();
     obj.set(all, json_value::string(all));
     EXPECT_EQ(json_parse(obj.write()), obj);
+}
+
+// --- latency_histogram ---------------------------------------------------------
+
+TEST(LatencyHistogram, EveryValueIsItsOwnQuantileWithinOneSixtyFourth)
+{
+    std::vector<std::uint64_t> values = {0, 1, 63, 126, 127, 128, 129, 191, 192, 255, 256};
+    for (unsigned k = 8; k <= 40; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        values.insert(values.end(), {p - 1, p, p + 1});
+    }
+    for (const std::uint64_t v : values) {
+        latency_histogram h;
+        h.record(v);
+        const double got = h.quantile(0.5);
+        const double exact = static_cast<double>(v);
+        if (v < 128)
+            EXPECT_EQ(got, exact) << v;
+        else
+            EXPECT_LE(std::abs(got - exact), exact / 64.0) << v;
+        EXPECT_EQ(h.quantile(0.0), got) << v;
+        EXPECT_EQ(h.quantile(1.0), got) << v;
+        EXPECT_EQ(h.mean(), exact) << v;
+    }
+    // Adjacent values straddling a power of two land in different buckets.
+    EXPECT_NE(latency_histogram::bucket_of(127), latency_histogram::bucket_of(128));
+    EXPECT_NE(latency_histogram::bucket_of(255), latency_histogram::bucket_of(256));
+    EXPECT_EQ(latency_histogram::bucket_of(std::numeric_limits<std::uint64_t>::max()),
+              latency_histogram::bucket_count - 1);
+}
+
+TEST(LatencyHistogram, NearestRankQuantilesOfAKnownSet)
+{
+    // 1..100: the nearest-rank q-quantile is ceil(100 q), exact below 128.
+    latency_histogram h;
+    for (std::uint64_t v = 100; v >= 1; --v) h.record(v);
+    EXPECT_EQ(h.count(), 100u);
+    EXPECT_DOUBLE_EQ(h.mean(), 50.5);
+    EXPECT_EQ(h.quantile(0.0), 1.0);
+    EXPECT_EQ(h.quantile(0.01), 1.0);
+    EXPECT_EQ(h.quantile(0.5), 50.0);
+    EXPECT_EQ(h.quantile(0.505), 51.0);
+    EXPECT_EQ(h.quantile(0.99), 99.0);
+    EXPECT_EQ(h.quantile(1.0), 100.0);
+
+    // Ten fast and one slow value: the median is fast, the maximum slow.
+    latency_histogram mixed;
+    for (int i = 0; i < 10; ++i) mixed.record(12);
+    mixed.record(9000);
+    EXPECT_EQ(mixed.quantile(0.5), 12.0);
+    EXPECT_EQ(mixed.quantile(10.0 / 11.0), 12.0);
+    EXPECT_NEAR(mixed.quantile(0.99), 9000.0, 9000.0 / 64.0);
+}
+
+TEST(LatencyHistogram, EmptyReadsZero)
+{
+    const latency_histogram h;
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.mean(), 0.0);
+    EXPECT_EQ(h.quantile(0.5), 0.0);
+    EXPECT_EQ(h.quantile(0.99), 0.0);
+}
+
+TEST(LatencyHistogram, ConcurrentRecordsKeepTheExactCountAndMean)
+{
+    constexpr int threads = 4;
+    constexpr std::uint64_t per_thread = 100000;
+    latency_histogram h;
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t)
+        pool.emplace_back([&h, t] {
+            for (std::uint64_t i = 0; i < per_thread; ++i) h.record(i % 1000 + t);
+        });
+    for (std::thread& th : pool) th.join();
+    EXPECT_EQ(h.count(), threads * per_thread);
+    // Each thread records 0..999 a hundred times, shifted by t: mean
+    // 499.5 + (0 + 1 + 2 + 3) / 4.
+    EXPECT_DOUBLE_EQ(h.mean(), 499.5 + 1.5);
+}
+
+// --- token_bucket ---------------------------------------------------------------
+
+TEST(TokenBucket, FirstTakeFindsTheBucketFull)
+{
+    const token_bucket::time_point t0{};
+    token_bucket bucket(10.0, 4.0);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(bucket.take(t0), 0u) << i;
+    EXPECT_GT(bucket.take(t0), 0u);
+
+    // Starting late changes nothing: the bucket is full, never overfull.
+    token_bucket late(10.0, 4.0);
+    const token_bucket::time_point t1 = t0 + std::chrono::hours(24);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(late.take(t1), 0u) << i;
+    EXPECT_GT(late.take(t1), 0u);
+}
+
+TEST(TokenBucket, ZeroBurstDerivesTheCeilingOfTheRate)
+{
+    const token_bucket::time_point t0{};
+    token_bucket bucket(2.5, 0.0); // burst ceil(2.5) = 3
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(bucket.take(t0), 0u) << i;
+    EXPECT_GT(bucket.take(t0), 0u);
+
+    token_bucket slow(0.2, 0.0); // burst max(1, ceil(0.2)) = 1
+    EXPECT_EQ(slow.take(t0), 0u);
+    EXPECT_GT(slow.take(t0), 0u);
+}
+
+TEST(TokenBucket, RefillsAtTheRate)
+{
+    const token_bucket::time_point t0{};
+    token_bucket bucket(2.0, 2.0);
+    EXPECT_EQ(bucket.take(t0), 0u);
+    EXPECT_EQ(bucket.take(t0), 0u);
+    EXPECT_GT(bucket.take(t0), 0u);
+    // Half a second buys one token back; a full second refills the burst.
+    EXPECT_EQ(bucket.take(t0 + std::chrono::milliseconds(500)), 0u);
+    EXPECT_GT(bucket.take(t0 + std::chrono::milliseconds(500)), 0u);
+    const token_bucket::time_point t1 = t0 + std::chrono::milliseconds(1500);
+    EXPECT_EQ(bucket.take(t1), 0u);
+    EXPECT_EQ(bucket.take(t1), 0u);
+    EXPECT_GT(bucket.take(t1), 0u);
+}
+
+TEST(TokenBucket, HintIsTheCeilingOfTheWaitAndAtLeastOne)
+{
+    const token_bucket::time_point t0{};
+    token_bucket half(2.0, 1.0);
+    EXPECT_EQ(half.take(t0), 0u);
+    EXPECT_EQ(half.take(t0), 500u); // exactly 500 ms away: no extra millisecond
+
+    token_bucket bucket(3.0, 1.0);
+    EXPECT_EQ(bucket.take(t0), 0u);
+    // The next token is 1/3 s away: 333.33 ms rounds up to 334.
+    EXPECT_EQ(bucket.take(t0), 334u);
+    // 333.5 ms later a sliver of the token is still missing: the hint
+    // rounds it up to a whole millisecond instead of 0.
+    EXPECT_EQ(bucket.take(t0 + std::chrono::microseconds(333000)), 1u);
+    EXPECT_EQ(bucket.take(t0 + std::chrono::microseconds(333334)), 0u);
+
+    token_bucket fast(10000.0, 1.0);
+    EXPECT_EQ(fast.take(t0), 0u);
+    EXPECT_EQ(fast.take(t0), 1u); // 0.1 ms away
+}
+
+TEST(TokenBucket, RateZeroAlwaysAdmits)
+{
+    const token_bucket::time_point t0{};
+    token_bucket zero(0.0, 0.0);
+    token_bucket zero_with_burst(0.0, 5.0);
+    for (int i = 0; i < 1000; ++i) {
+        EXPECT_EQ(zero.take(t0), 0u);
+        EXPECT_EQ(zero_with_burst.take(t0), 0u);
+    }
 }
 
 TEST(TextTable, AlignsColumns)
