@@ -9,7 +9,9 @@ requests whose ids hold a raw control byte and a \\u00e9 escape.  Every
 output line must load with json.loads (NaN and Infinity rejected), tool
 output must be exactly one line, every response must echo its request id,
 and a response to a request the tool also answers must embed the tool's
-document byte for byte.  `tsg_tool montecarlo --samples 3abc`,
+document byte for byte.  The `stats` payload must carry, as a JSON
+number, every key perfbench/run.py reads (BENCH_STATS_KEYS), and the
+`health` payload a status of "ok".  `tsg_tool montecarlo --samples 3abc`,
 `tsg_serve --pipe --demo osc --quota-rps 5abc` and `... --conn-rps 1e999`
 must each exit 1, the daemon with an error naming the flag.  Exit status
 0 when every check holds, 1 otherwise; one line per check.
@@ -55,6 +57,19 @@ DAEMON_REQUESTS = [
     ({"kind": "edit", "edits": EDIT_SCRIPT}, None),
     ({"kind": "stats"}, None),
     ({"kind": "health"}, None),
+]
+
+# The stats keys perfbench/run.py reads after every run.  Dropping or
+# renaming one, or the health status it waits on at start-up, fails every
+# benchmark run with a KeyError, so the daemon keeps them.
+BENCH_STATS_KEYS = [
+    ("requests", "batch"),
+    ("cache", "hits"),
+    ("coalescing", "efficiency"),
+    ("coalescing", "engine_batches"),
+    ("queue", "peak"),
+    ("admission", "shed"),
+    ("designs", "evicted"),
 ]
 
 
@@ -112,6 +127,20 @@ def check_daemon_flags(c, serve):
                 f"exit {proc.returncode}: {err.strip()}")
 
 
+def check_bench_contract(c, kind, payload):
+    if kind == "health":
+        c.check(payload.get("status") == "ok", "health payload carries status \"ok\"",
+                repr(payload.get("status")))
+    if kind != "stats":
+        return
+    for path in BENCH_STATS_KEYS:
+        value = payload
+        for key in path:
+            value = value.get(key) if isinstance(value, dict) else None
+        c.check(isinstance(value, (int, float)) and not isinstance(value, bool),
+                "stats payload carries " + ".".join(path) + " as a number", repr(value))
+
+
 def check_daemon(c, serve, tool_outputs):
     lines = []
     expected = []
@@ -119,15 +148,15 @@ def check_daemon(c, serve, tool_outputs):
         request = {"api_version": 1, "id": f"r{i}-{body['kind']}", "design": {"id": "osc"}}
         request.update(body)
         lines.append(json.dumps(request))
-        expected.append((request["id"], tool_args))
+        expected.append((request["id"], body["kind"], tool_args))
     # Raw bytes on purpose: a 0x01 inside the id string, and a \u escape
     # that must decode to U+00E9.
     lines.append('{"api_version": 1, "kind": "analyze", "design": {"id": "osc"}, '
                  '"id": "raw\x01ctl"}')
-    expected.append(("raw\x01ctl", None))
+    expected.append(("raw\x01ctl", "analyze", None))
     lines.append('{"api_version": 1, "kind": "analyze", "design": {"id": "osc"}, '
                  '"id": "caf\\u00e9"}')
-    expected.append(("café", None))
+    expected.append(("café", "analyze", None))
 
     proc = run([serve, "--pipe", "--demo", "osc"], ("\n".join(lines) + "\n").encode("utf-8"))
     if not c.check(proc.returncode == 0, "tsg_serve --pipe exits 0",
@@ -136,7 +165,7 @@ def check_daemon(c, serve, tool_outputs):
     responses = proc.stdout.decode("utf-8").splitlines()
     c.check(len(responses) == len(expected), "one response line per request",
             f"{len(responses)} lines for {len(expected)} requests")
-    for line, (rid, tool_args) in zip(responses, expected):
+    for line, (rid, kind, tool_args) in zip(responses, expected):
         label = f"response {rid!r}"
         try:
             doc = strict_loads(line)
@@ -146,6 +175,7 @@ def check_daemon(c, serve, tool_outputs):
         c.check(doc.get("id") == rid, label + " echoes its id", repr(doc.get("id")))
         if not c.check(doc.get("ok") is True, label + " is ok", json.dumps(doc.get("error"))):
             continue
+        check_bench_contract(c, kind, doc.get("payload", {}))
         if tool_args is not None and tuple(tool_args) in tool_outputs:
             c.check(line.endswith('"payload": ' + tool_outputs[tuple(tool_args)] + "}"),
                     label + " embeds the tool's document byte for byte")

@@ -28,7 +28,6 @@
 //   --max-versions N        versions kept per design chain (default 4)
 //   --queue-depth N         admission bound; 0 disables shedding
 //                           (default 1024)
-//   --no-cache              disable the cross-request payload cache
 //   --max-conn N            concurrent connections (default 256)
 //   --max-inflight N        unanswered requests per connection (default 64)
 //   --max-line BYTES        request line bound (default 1 MiB)
@@ -156,8 +155,6 @@ int main(int argc, char** argv)
                 options.max_versions_per_design = count();
             } else if (arg == "--queue-depth") {
                 options.max_queue_depth = count();
-            } else if (arg == "--no-cache") {
-                options.payload_cache = false;
             } else if (arg == "--max-conn") {
                 loop_options.max_connections = count();
             } else if (arg == "--max-inflight") {

@@ -538,14 +538,15 @@ void write_cycle_time(json_writer& out, const signal_graph& sg, const cycle_time
 
 } // namespace
 
-std::string scenario_batch_json(const std::string& command, const std::string& solver,
-                                const signal_graph& sg, const rational& nominal,
-                                const std::vector<scenario>& scenarios,
-                                const scenario_batch_result& batch)
+std::string batch_payload_json(const analysis_request& request, const signal_graph& sg,
+                               const rational& nominal,
+                               const std::vector<scenario>& scenarios,
+                               const scenario_batch_result& batch)
 {
     json_writer out;
     out.begin_object();
-    write_model_header(out, command, solver, sg);
+    write_model_header(out, request_kind_name(request.kind),
+                       solver_spelling(request.options.solver), sg);
     write_exact(out.key("nominal_cycle_time"), nominal);
     out.key("aggregate").begin_object().key("scenarios").value(batch.outcomes.size());
     exact_members(out.key("min").begin_object(), batch.min_cycle_time)
@@ -1022,16 +1023,6 @@ std::vector<scenario> request_scenarios(const analysis_request& request,
                     std::string(request_kind_name(request.kind)) +
                     "' has no scenario batch");
     }
-}
-
-std::string batch_payload_json(const analysis_request& request, const signal_graph& sg,
-                               const rational& nominal,
-                               const std::vector<scenario>& scenarios,
-                               const scenario_batch_result& batch)
-{
-    return scenario_batch_json(request_kind_name(request.kind),
-                               solver_spelling(request.options.solver), sg, nominal,
-                               scenarios, batch);
 }
 
 std::string execute_analysis_payload(const analysis_request& request, const signal_graph& sg,

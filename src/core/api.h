@@ -259,15 +259,6 @@ struct analysis_response {
 // byte for byte.  Each is written by one json_writer in the compact wire
 // layout (util/json.h): one line, no trailing newline.
 
-/// Renders one evaluated batch as a JSON document.  `command` and
-/// `solver` are echoed verbatim (the tool passes its subcommand and the
-/// requested --solver value).
-[[nodiscard]] std::string scenario_batch_json(const std::string& command,
-                                              const std::string& solver,
-                                              const signal_graph& sg, const rational& nominal,
-                                              const std::vector<scenario>& scenarios,
-                                              const scenario_batch_result& batch);
-
 /// Renders a statistics run (core/stats.h) as a JSON document with a
 /// `statistics` block: sample counts and convergence, mean/variance with
 /// the confidence interval, exact min/max, quantile estimates
@@ -357,8 +348,10 @@ struct edit_batch_status {
 [[nodiscard]] std::vector<scenario> request_scenarios(const analysis_request& request,
                                                       const signal_graph& sg);
 
-/// Renders the payload of a batch-kind request from its (possibly
-/// sliced-back) batch result — the demux half of the coalescer.
+/// Renders the payload of a batch-kind request (sweep, non-adaptive
+/// montecarlo) from its evaluated, possibly sliced-back, batch result —
+/// the demux half of the coalescer.  The header echoes the request's kind
+/// and solver spelling.
 [[nodiscard]] std::string batch_payload_json(const analysis_request& request,
                                              const signal_graph& sg, const rational& nominal,
                                              const std::vector<scenario>& scenarios,

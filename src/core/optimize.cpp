@@ -473,16 +473,6 @@ optimize_result optimize_statistical(const signal_graph& sg, const scenario_engi
 
 // --- deterministic top-K (Lawler partitioning) -------------------------------
 
-/// Canonical witness identity: original arc ids in causal order rotated so
-/// the smallest leads (the scenario engine's key).
-std::vector<arc_id> canonical_rotation(std::vector<arc_id> arcs)
-{
-    if (arcs.empty()) return arcs;
-    const auto lead = std::min_element(arcs.begin(), arcs.end());
-    std::rotate(arcs.begin(), lead, arcs.end());
-    return arcs;
-}
-
 struct peel_entry {
     rational ratio;
     std::vector<arc_id> canonical; ///< original (sg) arcs, canonical rotation
@@ -583,7 +573,7 @@ topk_result topk_deterministic(const signal_graph& sg, const compiled_graph& cg,
             const arc_id b = to_base[a];
             original.push_back(base.arc_original.empty() ? b : base.arc_original[b]);
         }
-        entry.canonical = canonical_rotation(std::move(original));
+        entry.canonical = canonical_cycle(std::move(original));
         entry.excluded = excluded;
         return entry;
     };

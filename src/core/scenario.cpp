@@ -12,12 +12,6 @@
 
 namespace tsg {
 
-namespace {
-
-using core_view = compiled_graph::core_view;
-
-/// Canonical cycle identity: causal order kept, rotated so the smallest
-/// arc id leads.
 std::vector<arc_id> canonical_cycle(std::vector<arc_id> arcs)
 {
     if (arcs.empty()) return arcs;
@@ -25,6 +19,10 @@ std::vector<arc_id> canonical_cycle(std::vector<arc_id> arcs)
     std::rotate(arcs.begin(), smallest, arcs.end());
     return arcs;
 }
+
+namespace {
+
+using core_view = compiled_graph::core_view;
 
 /// Which solver a batch actually runs: resolved once, against the base
 /// snapshot's structure.

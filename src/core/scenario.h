@@ -130,6 +130,12 @@ struct scenario_outcome {
     std::vector<arc_id> critical_cycle;
 };
 
+/// The canonical identity of a cycle given as arcs in causal order:
+/// rotated so the smallest arc id leads.  The key of
+/// scenario_outcome::critical_cycle and of the top-K witnesses
+/// (core/optimize.h).
+[[nodiscard]] std::vector<arc_id> canonical_cycle(std::vector<arc_id> arcs);
+
 /// One distinct critical-cycle identity across a batch.
 struct critical_cycle_stat {
     std::vector<arc_id> arcs;    ///< canonical cycle (see scenario_outcome)

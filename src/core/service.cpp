@@ -54,15 +54,6 @@ struct analysis_service::design_version {
              std::shared_ptr<const monte_carlo_table>>
         mc_tables;
 
-    /// Cross-request payload cache: canonical request body (id stripped)
-    /// -> (payload bytes, scenario count) of the first execution.  The
-    /// cached bytes are returned verbatim, so a payload first rendered
-    /// from a merged run keeps that run's engine-accounting block — the
-    /// same documented exception the coalescer already carries.
-    std::mutex cache_mutex;
-    std::map<std::string, std::pair<std::string, std::size_t>> payload_cache;
-    std::size_t payload_cache_bytes = 0; ///< keys + payloads, <= the budget
-
     std::uint64_t last_used = 0; ///< registry use tick, for LRU eviction
 };
 
@@ -106,21 +97,6 @@ bool coalescable(const analysis_request& request)
 {
     return request.kind == request_kind::sweep ||
            (request.kind == request_kind::montecarlo && !request.options.adaptive);
-}
-
-/// Canonical cache key: the full request document with the client
-/// correlation id and the version pin stripped (the cache already lives
-/// inside one resolved design_version, so "latest" and an explicit pin of
-/// the same snapshot share entries).
-std::string payload_cache_key(const analysis_request& request)
-{
-    analysis_request canonical = request;
-    canonical.id.clear();
-    canonical.design.version = 0;
-    // Deadlines bound *when* work may run, never what it computes — two
-    // requests differing only in deadline_ms share one payload.
-    canonical.options.deadline_ms = 0;
-    return analysis_request_json(canonical).write();
 }
 
 } // namespace
@@ -490,6 +466,13 @@ analysis_response analysis_service::respond_error(const pending& job,
     return response;
 }
 
+analysis_response analysis_service::respond_exception(const pending& job,
+                                                      const std::exception& e)
+{
+    if (dynamic_cast<const error*>(&e) != nullptr) return respond_error(job, e.what());
+    return respond_error(job, std::string("internal: ") + e.what());
+}
+
 void analysis_service::finish(pending& job, analysis_response response)
 {
     const auto now = std::chrono::steady_clock::now();
@@ -497,11 +480,14 @@ void analysis_service::finish(pending& job, analysis_response response)
         std::chrono::duration<double, std::milli>(now - job.enqueued).count();
     latency_.record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(now - job.enqueued).count()));
+    // Shed while queued or stopped mid-run: both answer deadline_exceeded.
+    const bool expired = !response.ok && response.error.code == "deadline_exceeded";
     if (!response.ok) failures_.fetch_add(1, std::memory_order_relaxed);
+    if (expired) deadline_expired_.fetch_add(1, std::memory_order_relaxed);
     bump_fleet(job.request.design.id, [&](design_traffic& t) {
         ++t.requests;
         if (!response.ok) ++t.failures;
-        // A cached payload re-reports its original run's scenario count.
+        if (expired) ++t.deadline_expired;
         t.scenarios += response.scenarios;
     });
     job.done(std::move(response));
@@ -509,8 +495,6 @@ void analysis_service::finish(pending& job, analysis_response response)
 
 void analysis_service::shed_expired(pending& job)
 {
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    bump_fleet(job.request.design.id, [](design_traffic& t) { ++t.deadline_expired; });
     const auto waited =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - job.enqueued)
@@ -562,15 +546,8 @@ void analysis_service::handle(pending job)
         }
         }
         response.ok = true;
-    } catch (const error& e) {
-        response = respond_error(job, e.what());
-        if (response.error.code == "deadline_exceeded") {
-            deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-            bump_fleet(job.request.design.id,
-                       [](design_traffic& t) { ++t.deadline_expired; });
-        }
     } catch (const std::exception& e) {
-        response = respond_error(job, std::string("internal: ") + e.what());
+        response = respond_exception(job, e);
     }
     finish(job, std::move(response));
 }
@@ -611,38 +588,9 @@ void analysis_service::handle_batch(pending first)
     std::vector<std::vector<scenario>> parts;
     try {
         version = resolve(first.request.design);
-        if (options_.payload_cache) {
-            const std::string key = payload_cache_key(first.request);
-            std::pair<std::string, std::size_t> hit;
-            bool found = false;
-            {
-                std::lock_guard<std::mutex> lk(version->cache_mutex);
-                const auto it = version->payload_cache.find(key);
-                if (it != version->payload_cache.end()) {
-                    hit = it->second;
-                    found = true;
-                }
-            }
-            if (found) {
-                cache_hits_.fetch_add(1, std::memory_order_relaxed);
-                bump_fleet(first.request.design.id,
-                           [](design_traffic& t) { ++t.cache_hits; });
-                analysis_response response;
-                response.id = first.request.id;
-                response.ok = true;
-                response.payload = std::move(hit.first);
-                response.scenarios = hit.second;
-                response.design_version = version->version;
-                finish(first, std::move(response));
-                return;
-            }
-        }
         parts.push_back(scenarios_for(*version, first.request));
-    } catch (const error& e) {
-        finish(first, respond_error(first, e.what()));
-        return;
     } catch (const std::exception& e) {
-        finish(first, respond_error(first, std::string("internal: ") + e.what()));
+        finish(first, respond_exception(first, e));
         return;
     }
     jobs.push_back(std::move(first));
@@ -688,11 +636,8 @@ void analysis_service::handle_batch(pending first)
             try {
                 parts.push_back(scenarios_for(*version, partner.request));
                 jobs.push_back(std::move(partner));
-            } catch (const error& e) {
-                finish(partner, respond_error(partner, e.what()));
             } catch (const std::exception& e) {
-                finish(partner,
-                       respond_error(partner, std::string("internal: ") + e.what()));
+                finish(partner, respond_exception(partner, e));
             }
         }
     }
@@ -728,12 +673,8 @@ void analysis_service::handle_batch(pending first)
     try {
         nominal = nominal_of(*version, live[0].request.options);
         batch = version->engine->run(merged, live[0].request.options.to_batch_options());
-    } catch (const error& e) {
-        for (pending& job : live) finish(job, respond_error(job, e.what()));
-        return;
     } catch (const std::exception& e) {
-        for (pending& job : live)
-            finish(job, respond_error(job, std::string("internal: ") + e.what()));
+        for (pending& job : live) finish(job, respond_exception(job, e));
         return;
     }
 
@@ -762,29 +703,8 @@ void analysis_service::handle_batch(pending first)
             response.design_version = version->version;
             response.scenarios = spans[i].count;
             response.coalesced = coalesced;
-            const std::size_t budget = options_.payload_cache_bytes;
-            if (options_.payload_cache && response.payload.size() <= budget) {
-                std::string key = payload_cache_key(live[i].request);
-                const std::size_t bytes = key.size() + response.payload.size();
-                // Bounded like the MC-table cache: clear-all on overflow
-                // beats tracking recency for a cache this cheap to refill.
-                if (bytes <= budget) {
-                    std::lock_guard<std::mutex> lk(version->cache_mutex);
-                    if (version->payload_cache_bytes + bytes > budget) {
-                        version->payload_cache.clear();
-                        version->payload_cache_bytes = 0;
-                    }
-                    if (version->payload_cache
-                            .emplace(std::move(key),
-                                     std::make_pair(response.payload, spans[i].count))
-                            .second)
-                        version->payload_cache_bytes += bytes;
-                }
-            }
-        } catch (const error& e) {
-            response = respond_error(live[i], e.what());
         } catch (const std::exception& e) {
-            response = respond_error(live[i], std::string("internal: ") + e.what());
+            response = respond_exception(live[i], e);
         }
         finish(live[i], std::move(response));
     }
@@ -802,7 +722,6 @@ service_metrics analysis_service::metrics() const
     m.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
     m.drain_rejected = drain_rejected_.load(std::memory_order_relaxed);
     m.draining = draining_.load(std::memory_order_acquire);
-    m.cache_hits = cache_hits_.load(std::memory_order_relaxed);
     m.queue_limit = options_.max_queue_depth;
     m.engine_batches = engine_batches_.load(std::memory_order_relaxed);
     m.batch_requests = batch_requests_.load(std::memory_order_relaxed);
@@ -813,14 +732,7 @@ service_metrics analysis_service::metrics() const
     {
         std::lock_guard<std::mutex> lk(registry_mutex_);
         m.designs = designs_.size();
-        for (const auto& [id, entry] : designs_) {
-            m.versions += entry->versions.size();
-            for (const std::shared_ptr<design_version>& v : entry->versions) {
-                std::lock_guard<std::mutex> cache_lock(v->cache_mutex);
-                m.cache_entries += v->payload_cache.size();
-                m.cache_bytes += v->payload_cache_bytes;
-            }
-        }
+        for (const auto& [id, entry] : designs_) m.versions += entry->versions.size();
     }
     {
         std::lock_guard<std::mutex> lk(queue_mutex_);
@@ -877,11 +789,9 @@ std::string analysis_service::stats_json() const
         .key("drain_rejected").value(m.drain_rejected)
         .key("draining").value(m.draining)
         .end_object();
-    out.key("cache").begin_object()
-        .key("hits").value(m.cache_hits)
-        .key("entries").value(m.cache_entries)
-        .key("bytes").value(m.cache_bytes)
-        .end_object();
+    // Always 0 (nothing is cached); kept only because perfbench/run.py
+    // still reads cache.hits.
+    out.key("cache").begin_object().key("hits").value(0).end_object();
     out.key("fleet").begin_object();
     for (const auto& [id, t] : m.fleet)
         out.key(id).begin_object()
@@ -891,7 +801,6 @@ std::string analysis_service::stats_json() const
             .key("rate_limited").value(t.rate_limited)
             .key("deadline_expired").value(t.deadline_expired)
             .key("scenarios").value(t.scenarios)
-            .key("cache_hits").value(t.cache_hits)
             .end_object();
     out.end_object();
     out.key("coalescing").begin_object()

@@ -40,10 +40,10 @@
 // client sees either its result or a prompt, retryable error, never an
 // unbounded wait.  Per-design quotas are token buckets
 // (util/token_bucket.h), the same policy as the event loop's
-// per-connection limit.  Deterministic batch payloads are additionally
-// cached across requests (keyed on design version + canonical request
-// body, bounded by a per-version byte budget), and per-design fleet
-// counters break the serving traffic down in the `stats` payload.
+// per-connection limit.  Per-design fleet counters break the serving
+// traffic down in the `stats` payload.  Every response is computed: the
+// analysis is exact and deterministic, so a repeated request recomputes
+// the same bytes rather than reading them from a cache.
 //
 // Transport is the caller's problem: submit_async() is the one
 // submission path (a completion callback; the epoll transport in
@@ -62,6 +62,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <iosfwd>
@@ -106,18 +107,6 @@ struct service_options {
     /// admission-control behaviour).
     std::size_t max_queue_depth = 1024;
 
-    /// Cross-request payload cache: deterministic batch requests (sweep,
-    /// seeded non-adaptive Monte Carlo) with an identical body hitting the
-    /// same design version are served the first response's payload bytes
-    /// without touching the engine.  Keyed on (design version, canonical
-    /// request document minus the client correlation id).
-    bool payload_cache = true;
-    /// Per-version byte budget of the payload cache, counting key plus
-    /// payload bytes.  An insert that would overflow it clears the
-    /// version's cache first; a payload larger than the whole budget is
-    /// served but never cached.
-    std::size_t payload_cache_bytes = std::size_t{1} << 20;
-
     /// Per-design admission quota: a token bucket (util/token_bucket.h)
     /// per registered design, refilled at `design_quota_rps` requests per
     /// second with capacity `design_quota_burst` (0 burst derives
@@ -135,9 +124,8 @@ struct design_traffic {
     std::uint64_t failures = 0;   ///< of those, responses with ok == false
     std::uint64_t shed = 0;       ///< of those, shed by admission control
     std::uint64_t scenarios = 0;  ///< scenarios evaluated for this design
-    std::uint64_t cache_hits = 0; ///< payloads served from the cross-request cache
     std::uint64_t rate_limited = 0;      ///< shed by the per-design quota
-    std::uint64_t deadline_expired = 0;  ///< shed because deadline_ms passed
+    std::uint64_t deadline_expired = 0;  ///< answered "deadline_exceeded"
 };
 
 /// One consistent snapshot of the serving counters.
@@ -146,15 +134,12 @@ struct service_metrics {
     std::uint64_t failures = 0;           ///< responses with ok == false
     std::uint64_t requests_shed = 0;      ///< shed with "overloaded" at admission
     std::uint64_t rate_limited = 0;       ///< shed with "rate_limited" (quota)
-    std::uint64_t deadline_expired = 0;   ///< shed with "deadline_exceeded"
+    std::uint64_t deadline_expired = 0;   ///< answered "deadline_exceeded"
     std::uint64_t drain_rejected = 0;     ///< refused with "draining"
     bool draining = false;                ///< begin_drain() has been called
     std::uint64_t engine_batches = 0;     ///< scenario_engine::run invocations
     std::uint64_t batch_requests = 0;     ///< batch-kind requests served
     std::uint64_t coalesced_requests = 0; ///< of those, served from merged runs
-    std::uint64_t cache_hits = 0;         ///< served from the payload cache
-    std::size_t cache_entries = 0;        ///< payloads cached across live versions
-    std::size_t cache_bytes = 0;          ///< their key + payload bytes
     std::uint64_t scenarios = 0;          ///< scenarios evaluated in batches
     std::uint64_t edits_committed = 0;    ///< edit requests that committed a version
     std::uint64_t versions_evicted = 0;
@@ -255,11 +240,18 @@ private:
     void worker_loop();
     void handle(pending job);
     void handle_batch(pending first);
+    /// Completes `job`: stamps its latency, counts the response (a
+    /// deadline_exceeded answer counts as an expiry here, and only here)
+    /// and runs its callback.
     void finish(pending& job, analysis_response response);
-    /// Sheds `job` with a deadline_exceeded response and bumps counters.
+    /// Answers `job` deadline_exceeded without running it.
     void shed_expired(pending& job);
     [[nodiscard]] analysis_response respond_error(const pending& job,
                                                   const std::string& diagnostic);
+    /// The worker's one failure path: a tsg::error keeps the code its
+    /// message carries, any other exception answers "internal".
+    [[nodiscard]] analysis_response respond_exception(const pending& job,
+                                                      const std::exception& e);
 
     /// Enqueues `job` unless admission control sheds it; a shed job's
     /// callback never runs.
@@ -320,7 +312,6 @@ private:
     std::atomic<std::uint64_t> rate_limited_{0};
     std::atomic<std::uint64_t> deadline_expired_{0};
     std::atomic<std::uint64_t> drain_rejected_{0};
-    std::atomic<std::uint64_t> cache_hits_{0};
     std::atomic<std::uint64_t> engine_batches_{0};
     std::atomic<std::uint64_t> batch_requests_{0};
     std::atomic<std::uint64_t> coalesced_requests_{0};

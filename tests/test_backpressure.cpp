@@ -1,6 +1,5 @@
-// Admission control, load shedding, coalescing and the
-// cross-request payload cache (core/service.h), plus the shed path
-// through the epoll transport:
+// Admission control, load shedding and coalescing (core/service.h), plus
+// the shed path through the epoll transport:
 //
 //   * a burst far beyond the queue bound gets exactly queue-depth
 //     requests accepted; the overflow is shed with the structured
@@ -9,12 +8,9 @@
 //   * requests coalesced while the service is saturated demultiplex to
 //     the byte-identical solo payloads (engine-accounting block aside,
 //     the documented exception);
-//   * an identical request body is served from the payload cache byte
-//     for byte, and the hit is counted per service and per design;
-//   * the cache stays within its per-version byte budget: an over-budget
-//     payload is served but never cached, and overflow clears;
-//   * the stats payload exposes the admission, cache and per-design
-//     fleet blocks, and requests naming unknown design ids leave no
+//   * the stats payload exposes the admission and per-design fleet
+//     blocks (and a `cache` block whose hits stay 0: a repeated body is
+//     recomputed), and requests naming unknown design ids leave no
 //     per-design state behind (fleet rows, quota buckets).
 #include <gtest/gtest.h>
 
@@ -172,7 +168,6 @@ TEST(Backpressure, CoalescedUnderLoadMatchesSoloByteForBit)
     service_options solo_opts;
     solo_opts.workers = 1;
     solo_opts.coalesce = false;
-    solo_opts.payload_cache = false;
     analysis_service solo(solo_opts);
     solo.register_design("chip", c_oscillator_sg());
 
@@ -181,7 +176,6 @@ TEST(Backpressure, CoalescedUnderLoadMatchesSoloByteForBit)
     service_options options;
     options.workers = 1;
     options.coalesce = true;
-    options.payload_cache = false;
     analysis_service service(options);
     service.register_design("chip", c_oscillator_sg());
 
@@ -214,124 +208,6 @@ TEST(Backpressure, CoalescedUnderLoadMatchesSoloByteForBit)
     EXPECT_GE(service.metrics().coalesced_requests, 2u);
 }
 
-TEST(Backpressure, IdenticalRequestBodiesAreServedFromThePayloadCache)
-{
-    service_options options;
-    options.workers = 1;
-    options.coalesce = false;
-    analysis_service service(options);
-    service.register_design("chip", c_oscillator_sg());
-
-    analysis_request request = make_request(request_kind::sweep, "first");
-    const analysis_response first = service.submit(request).get();
-    ASSERT_TRUE(first.ok);
-    EXPECT_EQ(service.metrics().cache_hits, 0u);
-
-    // Same body, different correlation id: a cache hit, byte-identical
-    // payload (engine block included — the bytes are the original run's).
-    request.id = "second";
-    const analysis_response second = service.submit(request).get();
-    ASSERT_TRUE(second.ok);
-    EXPECT_EQ(second.payload, first.payload);
-    EXPECT_EQ(second.id, "second");
-    EXPECT_EQ(second.scenarios, first.scenarios);
-    EXPECT_EQ(second.design_version, first.design_version);
-    EXPECT_EQ(service.metrics().cache_hits, 1u);
-
-    // Any option difference is a different body — a miss.
-    request.id = "third";
-    request.options.factor = rational(1, 5);
-    const analysis_response third = service.submit(request).get();
-    ASSERT_TRUE(third.ok);
-    EXPECT_NE(third.payload, first.payload);
-    EXPECT_EQ(service.metrics().cache_hits, 1u);
-
-    const service_metrics metrics = service.metrics();
-    ASSERT_EQ(metrics.fleet.size(), 1u);
-    EXPECT_EQ(metrics.fleet[0].second.cache_hits, 1u);
-}
-
-TEST(Backpressure, PayloadCacheStaysWithinItsByteBudget)
-{
-    const auto sweep = [](const std::string& id, rational factor) {
-        analysis_request request = make_request(request_kind::sweep, id);
-        request.options.factor = factor;
-        return request;
-    };
-    analysis_request big = make_request(request_kind::montecarlo, "big");
-    big.options.samples = 128;
-
-    // Entry size (key + payload) of one small sweep, and the big payload,
-    // measured on an unconstrained service.
-    service_options probe_options;
-    probe_options.workers = 1;
-    probe_options.coalesce = false;
-    analysis_service probe(probe_options);
-    probe.register_design("chip", c_oscillator_sg());
-    ASSERT_TRUE(probe.submit(sweep("p", rational(1, 10))).get().ok);
-    const std::size_t entry = probe.metrics().cache_bytes;
-    ASSERT_GT(entry, 0u);
-    const analysis_response big_alone = probe.submit(big).get();
-    ASSERT_TRUE(big_alone.ok);
-
-    // Room for two small entries, not for the big payload.
-    service_options options = probe_options;
-    options.payload_cache_bytes = 2 * entry + entry / 2;
-    ASSERT_GT(big_alone.payload.size(), options.payload_cache_bytes);
-    analysis_service service(options);
-    service.register_design("chip", c_oscillator_sg());
-
-    ASSERT_TRUE(service.submit(sweep("s0", rational(1, 10))).get().ok);
-    EXPECT_EQ(service.metrics().cache_entries, 1u);
-    EXPECT_EQ(service.metrics().cache_bytes, entry);
-
-    // Over budget: served byte-identical, twice, and never cached.
-    for (const char* id : {"big1", "big2"}) {
-        big.id = id;
-        const analysis_response served = service.submit(big).get();
-        ASSERT_TRUE(served.ok) << served.error.message;
-        EXPECT_EQ(served.payload, big_alone.payload);
-        EXPECT_EQ(service.metrics().cache_hits, 0u);
-        EXPECT_EQ(service.metrics().cache_entries, 1u);
-        EXPECT_EQ(service.metrics().cache_bytes, entry);
-    }
-
-    // Distinct small bodies: the byte count never passes the budget, and
-    // overflow clears instead of growing.
-    const rational factors[] = {rational(1, 5), rational(3, 10), rational(2, 5),
-                                rational(1, 2), rational(3, 5)};
-    std::size_t most_entries = 0;
-    for (std::size_t i = 0; i < std::size(factors); ++i) {
-        ASSERT_TRUE(service.submit(sweep("s" + std::to_string(i + 1), factors[i])).get().ok);
-        const service_metrics m = service.metrics();
-        EXPECT_LE(m.cache_bytes, options.payload_cache_bytes) << "after sweep " << i + 1;
-        EXPECT_GE(m.cache_entries, 1u);
-        most_entries = std::max(most_entries, m.cache_entries);
-    }
-    EXPECT_EQ(most_entries, 2u);
-
-    // The newest entry survived the clears and serves the next repeat.
-    const analysis_response repeat = service.submit(sweep("again", factors[4])).get();
-    ASSERT_TRUE(repeat.ok);
-    EXPECT_EQ(service.metrics().cache_hits, 1u);
-}
-
-TEST(Backpressure, CacheIsDisabledWhenConfiguredOff)
-{
-    service_options options;
-    options.workers = 1;
-    options.coalesce = false;
-    options.payload_cache = false;
-    analysis_service service(options);
-    service.register_design("chip", c_oscillator_sg());
-
-    analysis_request request = make_request(request_kind::sweep, "a");
-    ASSERT_TRUE(service.submit(request).get().ok);
-    request.id = "b";
-    ASSERT_TRUE(service.submit(request).get().ok);
-    EXPECT_EQ(service.metrics().cache_hits, 0u);
-}
-
 TEST(Backpressure, StatsPayloadReportsAdmissionCacheAndFleet)
 {
     service_options options;
@@ -341,11 +217,17 @@ TEST(Backpressure, StatsPayloadReportsAdmissionCacheAndFleet)
     analysis_service service(options);
     service.register_design("chip", c_oscillator_sg());
 
-    // Produce one cache hit and a couple of shed requests.
+    // A repeated body is recomputed byte for byte; then a couple of shed
+    // requests.
     analysis_request request = make_request(request_kind::sweep, "x");
-    ASSERT_TRUE(service.submit(request).get().ok);
+    const analysis_response first = service.submit(request).get();
+    ASSERT_TRUE(first.ok);
     request.id = "y";
-    ASSERT_TRUE(service.submit(request).get().ok);
+    const analysis_response again = service.submit(request).get();
+    ASSERT_TRUE(again.ok);
+    EXPECT_EQ(again.payload, first.payload);
+    EXPECT_EQ(service.metrics().batch_requests, 2u);
+    EXPECT_EQ(service.metrics().engine_batches, 2u);
 
     auto plug = occupy_worker(service);
     std::vector<std::future<analysis_response>> burst;
@@ -364,19 +246,24 @@ TEST(Backpressure, StatsPayloadReportsAdmissionCacheAndFleet)
     EXPECT_EQ(admission->find("queue_limit")->text, "2");
     EXPECT_EQ(admission->find("shed")->text, "4"); // 6 burst - 2 queued
 
+    // Nothing is cached: the block keeps only hits, always 0, because
+    // perfbench/run.py still reads it.
     const json_value* cache = doc.find("cache");
     ASSERT_NE(cache, nullptr);
-    EXPECT_EQ(cache->find("hits")->text, "1");
-    EXPECT_EQ(cache->find("entries")->text, "1"); // x and y share one body
-    EXPECT_EQ(cache->find("bytes")->text, std::to_string(service.metrics().cache_bytes));
-    EXPECT_NE(cache->find("bytes")->text, "0");
+    ASSERT_EQ(cache->members.size(), 1u);
+    EXPECT_EQ(cache->members[0].first, "hits");
+    EXPECT_EQ(cache->members[0].second.text, "0");
 
     const json_value* fleet = doc.find("fleet");
     ASSERT_NE(fleet, nullptr);
     const json_value* chip = fleet->find("chip");
     ASSERT_NE(chip, nullptr);
     EXPECT_EQ(chip->find("shed")->text, "4");
-    EXPECT_EQ(chip->find("cache_hits")->text, "1");
+    EXPECT_EQ(chip->find("requests")->text, "9"); // x, y, the plug and 6 burst
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : chip->members) keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"requests", "failed", "shed", "rate_limited",
+                                              "deadline_expired", "scenarios"}));
 }
 
 TEST(Backpressure, UnknownDesignIdsLeaveNoPerDesignState)

@@ -149,6 +149,14 @@ TEST(Scenario, MonteCarloIsReproducibleUnderAFixedSeed)
         EXPECT_EQ(a[i].delay, b[i].delay);
     }
 
+    // The table overload (the service's fixed-size path) replays it too.
+    const std::vector<scenario> t = monte_carlo_scenarios(sg, mc, build_monte_carlo_table(sg, mc));
+    ASSERT_EQ(a.size(), t.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].label, t[i].label);
+        EXPECT_EQ(a[i].delay, t[i].delay);
+    }
+
     mc.seed = 100;
     const std::vector<scenario> c = monte_carlo_scenarios(sg, mc);
     bool any_different = false;
@@ -166,6 +174,65 @@ TEST(Scenario, MonteCarloIsReproducibleUnderAFixedSeed)
         EXPECT_EQ(ra.outcomes[i].cycle_time, rb.outcomes[i].cycle_time);
         EXPECT_EQ(ra.outcomes[i].critical_arcs, rb.outcomes[i].critical_arcs);
     }
+}
+
+TEST(Scenario, MonteCarloTableMatchesComputedSamplingOnEveryGridShape)
+{
+    const signal_graph sg = random_fractional_graph(7, 16);
+    const auto expect_same = [&](const monte_carlo_options& mc) {
+        const std::vector<scenario> computed = monte_carlo_scenarios(sg, mc);
+        const std::vector<scenario> tabled =
+            monte_carlo_scenarios(sg, mc, build_monte_carlo_table(sg, mc));
+        EXPECT_EQ(computed.size(), mc.samples);
+        EXPECT_EQ(tabled.size(), mc.samples);
+        for (std::size_t i = 0; i < std::min(computed.size(), tabled.size()); ++i) {
+            EXPECT_EQ(computed[i].label, tabled[i].label) << i;
+            EXPECT_EQ(computed[i].delay, tabled[i].delay) << i;
+        }
+        return tabled;
+    };
+
+    // Spread-based sampling is covered by MonteCarloIsReproducibleUnderAFixedSeed.
+    monte_carlo_options mc;
+    mc.samples = 12;
+    mc.seed = 99;
+    {
+        // Explicit ranges.  Arc 0's grid needs lo.den * span.den = 2^70,
+        // past int64, so it samples through the exact rational fallback.
+        SCOPED_TRACE("ranges");
+        monte_carlo_options ranged = mc;
+        for (arc_id a = 0; a < sg.arc_count(); ++a)
+            ranged.ranges.push_back({sg.arc(a).delay, sg.arc(a).delay + rational(1, 2)});
+        const rational lo(1, std::int64_t{1} << 40);
+        ranged.ranges[0] = {lo, lo + rational(1, std::int64_t{1} << 30)};
+        for (const scenario& s : expect_same(ranged)) {
+            EXPECT_LE(ranged.ranges[0].lo, s.delay[0]);
+            EXPECT_LE(s.delay[0], ranged.ranges[0].hi);
+        }
+    }
+    {
+        SCOPED_TRACE("correlated delay_model");
+        monte_carlo_options correlated = mc;
+        delay_model::source vdd;
+        vdd.name = "Vdd";
+        for (arc_id a = 0; a < sg.arc_count(); ++a)
+            vdd.sensitivity.push_back(rational(static_cast<std::int64_t>(a % 3), 10));
+        correlated.model.sources.push_back(vdd);
+        correlated.model.resolution = 8;
+        expect_same(correlated);
+    }
+    {
+        SCOPED_TRACE("first_sample");
+        monte_carlo_options later = mc;
+        later.first_sample = 1000;
+        EXPECT_EQ(expect_same(later).front().label, "mc#1000 seed=99");
+    }
+
+    // A table built for another resolution is refused.
+    monte_carlo_options finer = mc;
+    finer.resolution = 32;
+    const monte_carlo_table wrong = build_monte_carlo_table(sg, finer);
+    EXPECT_THROW((void)monte_carlo_scenarios(sg, mc, wrong), error);
 }
 
 TEST(Scenario, ParallelBatchMatchesSerialBatch)

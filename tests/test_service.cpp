@@ -409,6 +409,16 @@ TEST(Service, OptimizeDeadlineStopsTheSearchAndTheWorkerServesOn)
 
     const analysis_response next = service.execute(make_request(request_kind::analyze, "next"));
     EXPECT_TRUE(next.ok) << next.error.code << ": " << next.error.message;
+
+    // The expiry inside the run counted once, globally and on the
+    // design's fleet row, and the request served after it adds none.
+    const service_metrics m = service.metrics();
+    EXPECT_EQ(m.deadline_expired, 1u);
+    ASSERT_EQ(m.fleet.size(), 1u);
+    EXPECT_EQ(m.fleet[0].first, "chip");
+    EXPECT_EQ(m.fleet[0].second.deadline_expired, 1u);
+    EXPECT_EQ(m.fleet[0].second.requests, 2u);
+    EXPECT_EQ(m.fleet[0].second.failures, 1u);
 }
 
 TEST(Service, LruEvictionTrimsChainsWithStructuredErrors)
