@@ -16,11 +16,6 @@ namespace {
 /// the int64 edge.
 constexpr std::int64_t max_scale = std::numeric_limits<std::int32_t>::max();
 
-/// Ceiling on the per-sweep period budget; beyond this the unfolding would
-/// be astronomically larger than any bound the analyses use (periods are
-/// bounded by the border size, itself at most the event count).
-constexpr std::uint32_t max_period_limit = 1u << 20;
-
 } // namespace
 
 compiled_graph::compiled_graph(const signal_graph& sg, compile_options options)
@@ -65,6 +60,17 @@ compiled_graph compiled_graph::rebind(std::vector<rational> delay) const
     if (out.use_fixed_point_) out.compile_fixed_point();
     out.bind_core_delays();
     return out;
+}
+
+std::uint32_t fixed_point_period_limit(int128 mass)
+{
+    // Ceiling on the budget: beyond it the unfolding would be astronomically
+    // larger than any bound the analyses use (periods are bounded by the
+    // border size, itself at most the event count).
+    constexpr std::uint32_t max_period_limit = 1u << 20;
+    const int128 budget = std::numeric_limits<std::int64_t>::max() / 4;
+    const int128 limit = mass == 0 ? max_period_limit : budget / mass;
+    return limit < 2 ? 0 : static_cast<std::uint32_t>(std::min<int128>(limit, max_period_limit));
 }
 
 void compute_fixed_point_domain(const std::vector<rational>& delay, fixed_point_domain& out)
@@ -164,16 +170,12 @@ void compute_fixed_point_domain(const std::vector<rational>& delay, fixed_point_
     }
 
     // Any longest path in a P-period sweep traverses each arc at most P + 1
-    // times, so its scaled length is bounded by (P + 1) * total.  Keep that
-    // product (and everything derived from it) well inside int64.
-    const int128 budget = std::numeric_limits<std::int64_t>::max() / 4;
-    const int128 limit = total == 0 ? max_period_limit : budget / total;
-    if (limit < 2) {
+    // times, so its scaled length is bounded by (P + 1) * total.
+    out.period_limit = fixed_point_period_limit(total);
+    if (out.period_limit == 0) {
         out.scaled.clear();
         return; // too heavy even for single-period sweeps
     }
-    out.period_limit =
-        static_cast<std::uint32_t>(std::min<int128>(limit, max_period_limit));
     out.scale = scale;
 }
 

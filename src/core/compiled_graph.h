@@ -63,6 +63,13 @@ struct fixed_point_domain {
     }
 };
 
+/// The period budget of a scaled delay assignment whose delays sum to
+/// `mass`: a P-period sweep's longest path is at most (P + 1) * mass, kept
+/// within INT64_MAX / 4.  Capped at 2^20 periods (beyond any bound the
+/// analyses use); 0 when the assignment is too heavy even for
+/// single-period sweeps.
+[[nodiscard]] std::uint32_t fixed_point_period_limit(int128 mass);
+
 /// Computes the fixed-point domain of one delay assignment.  `out.scaled` is
 /// reused (no allocation when its capacity suffices) — the per-lane rebind
 /// path calls this once per scenario.  The criteria are exactly those of

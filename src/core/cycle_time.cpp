@@ -186,30 +186,14 @@ void rotate_cycle_to_border(cycle_time_result& result, const std::vector<event_i
 }
 
 /// The policy-iteration path: lambda and a witness cycle from Howard via
-/// the SCC condensation driver, no simulation data.
+/// the SCC condensation driver.
 cycle_time_result analyze_with_howard(const compiled_graph& cg, const analysis_options& options)
 {
-    const signal_graph& sg = cg.source();
-
-    cycle_time_result result;
-    result.border_count = sg.border_events().size();
-    result.periods_used = 0;
-
     const ratio_problem p = make_ratio_problem(cg);
     condensation_options copts;
     copts.max_threads = options.max_threads;
     const condensed_ratio_result r = max_cycle_ratio_condensed(p, copts);
-
-    result.cycle_time = r.ratio;
-    std::uint32_t epsilon = 0;
-    for (const arc_id a : r.cycle) {
-        result.critical_cycle_events.push_back(p.node_event[p.graph.from(a)]);
-        result.critical_cycle_arcs.push_back(p.arc_original[a]);
-        epsilon += static_cast<std::uint32_t>(p.transit[a]);
-    }
-    result.critical_occurrence_period = epsilon;
-    rotate_cycle_to_border(result, sg.border_events());
-    return result;
+    return ratio_cycle_time_result(cg.source(), p, r.ratio, r.cycle);
 }
 
 template <typename Domain>
@@ -587,6 +571,25 @@ void analyze_cycle_time_lanes_impl(const compiled_graph& cg, const lane_domain& 
 }
 
 } // namespace
+
+cycle_time_result ratio_cycle_time_result(const signal_graph& sg, const ratio_problem& p,
+                                          const rational& ratio,
+                                          const std::vector<arc_id>& cycle)
+{
+    cycle_time_result result;
+    result.border_count = sg.border_events().size();
+    result.periods_used = 0;
+    result.cycle_time = ratio;
+    std::uint32_t epsilon = 0;
+    for (const arc_id a : cycle) {
+        result.critical_cycle_events.push_back(p.node_event[p.graph.from(a)]);
+        result.critical_cycle_arcs.push_back(p.arc_original[a]);
+        epsilon += static_cast<std::uint32_t>(p.transit[a]);
+    }
+    result.critical_occurrence_period = epsilon;
+    rotate_cycle_to_border(result, sg.border_events());
+    return result;
+}
 
 void analyze_cycle_time_lanes(const compiled_graph& cg, const lane_domain& dom,
                               std::uint32_t periods, lane_workspace& ws,

@@ -153,6 +153,18 @@ struct cycle_time_result {
 [[nodiscard]] cycle_time_result analyze_cycle_time(const compiled_graph& cg,
                                                    const analysis_options& options = {});
 
+struct ratio_problem;
+
+/// The result of a maximum-cycle-ratio solve on `p` (built from `sg`'s
+/// snapshot): cycle time `ratio`, the witness `cycle` (problem arcs in
+/// causal order) as events and original arcs with its occurrence period,
+/// rotated to start at a border event.  No simulation data.  Shared by the
+/// Howard path above and incremental_engine::analyze_warm.
+[[nodiscard]] cycle_time_result ratio_cycle_time_result(const signal_graph& sg,
+                                                        const ratio_problem& p,
+                                                        const rational& ratio,
+                                                        const std::vector<arc_id>& cycle);
+
 // --- lane-batched analysis (core/lane_domain.h) ------------------------------
 
 class lane_domain;

@@ -8,37 +8,6 @@
 
 namespace tsg {
 
-namespace {
-
-/// Mirrors the cap in compiled_graph.cpp: beyond this the unfolding would
-/// be astronomically larger than any bound the analyses use.
-constexpr std::uint32_t max_period_limit = 1u << 20;
-
-void push_touched(std::vector<event_id>& touched, event_id e)
-{
-    touched.push_back(e);
-}
-
-/// Rotates a witness cycle to start at a border event (cosmetic; matches
-/// analyze_cycle_time's presentation exactly).
-void rotate_cycle_to_border(cycle_time_result& result, const std::vector<event_id>& border)
-{
-    for (std::size_t k = 0; k < result.critical_cycle_events.size(); ++k) {
-        const event_id e = result.critical_cycle_events[k];
-        if (std::find(border.begin(), border.end(), e) != border.end()) {
-            std::rotate(result.critical_cycle_events.begin(),
-                        result.critical_cycle_events.begin() + static_cast<std::ptrdiff_t>(k),
-                        result.critical_cycle_events.end());
-            std::rotate(result.critical_cycle_arcs.begin(),
-                        result.critical_cycle_arcs.begin() + static_cast<std::ptrdiff_t>(k),
-                        result.critical_cycle_arcs.end());
-            break;
-        }
-    }
-}
-
-} // namespace
-
 incremental_engine::incremental_engine(const signal_graph& sg, compile_options options)
     : sg_(sg), cg_(sg_, options)
 {
@@ -151,8 +120,8 @@ void incremental_engine::raw_insert_arc(arc_id a, const arc_info& info, bool use
     ++counters_.arcs_repaired;
 
     d.structural = true;
-    push_touched(d.touched, info.from);
-    push_touched(d.touched, info.to);
+    d.touched.push_back(info.from);
+    d.touched.push_back(info.to);
     d.edited_arcs.push_back(a);
     const bool from_rep = sg_.events_[info.from].kind == event_kind::repetitive;
     const bool to_rep = sg_.events_[info.to].kind == event_kind::repetitive;
@@ -187,8 +156,8 @@ void incremental_engine::raw_remove_arc(arc_id a, dirty& d)
     d.delay = true; // the slot's delay changed to 0
 
     d.structural = true;
-    push_touched(d.touched, prev.from);
-    push_touched(d.touched, prev.to);
+    d.touched.push_back(prev.from);
+    d.touched.push_back(prev.to);
     d.edited_arcs.push_back(a);
     if (sg_.events_[prev.from].kind == event_kind::repetitive &&
         sg_.events_[prev.to].kind == event_kind::repetitive)
@@ -203,8 +172,8 @@ void incremental_engine::raw_pop_arc(dirty& d)
     const arc_info prev = sg_.arcs_[a];
     compiled_graph::structural_state& state = mutable_state();
     if (sg_.structure_.is_live(a)) {
-        push_touched(d.touched, prev.from);
-        push_touched(d.touched, prev.to);
+        d.touched.push_back(prev.from);
+        d.touched.push_back(prev.to);
         if (sg_.events_[prev.from].kind == event_kind::repetitive &&
             sg_.events_[prev.to].kind == event_kind::repetitive)
             d.removed_core_arc = true;
@@ -295,8 +264,8 @@ void incremental_engine::apply_raw(const graph_edit& e, std::vector<applied_edit
             if (!e.marked) pk_require_acyclic(arc.from, arc.to);
             arc.marked = e.marked;
             d.marking = true;
-            push_touched(d.touched, arc.from);
-            push_touched(d.touched, arc.to);
+            d.touched.push_back(arc.from);
+            d.touched.push_back(arc.to);
         }
         log.push_back(rec);
         break;
@@ -328,8 +297,8 @@ void incremental_engine::invert_raw(const applied_edit& rec, dirty& d)
             if (!rec.prev.marked) pk_require_acyclic(arc.from, arc.to);
             arc.marked = rec.prev.marked;
             d.marking = true;
-            push_touched(d.touched, arc.from);
-            push_touched(d.touched, arc.to);
+            d.touched.push_back(arc.from);
+            d.touched.push_back(arc.to);
         }
         break;
     }
@@ -476,11 +445,9 @@ void incremental_engine::refresh_fixed_point(dirty& d)
     if (!d.fp_dirty && cg_.scale_ != 0) {
         // Every touched delay was patched in the current scale; only the
         // period budget needs a refresh from the tracked mass.
-        const int128 budget = std::numeric_limits<std::int64_t>::max() / 4;
-        const int128 limit = total_mass_ == 0 ? max_period_limit : budget / total_mass_;
-        if (limit >= 2) {
-            cg_.period_limit_ =
-                static_cast<std::uint32_t>(std::min<int128>(limit, max_period_limit));
+        const std::uint32_t limit = fixed_point_period_limit(total_mass_);
+        if (limit != 0) {
+            cg_.period_limit_ = limit;
             ++counters_.fixed_point_patches;
             return;
         }
@@ -761,22 +728,8 @@ cycle_time_result incremental_engine::analyze_warm()
         warm_state_.policy.clear();
         warm_version_ = cg_.structure_version();
     }
-    const ratio_problem& p = *warm_problem_;
-    const ratio_result r = max_cycle_ratio_howard(p, howard_options{}, &warm_state_);
-
-    cycle_time_result result;
-    result.border_count = sg_.border_events().size();
-    result.periods_used = 0;
-    result.cycle_time = r.ratio;
-    std::uint32_t epsilon = 0;
-    for (const arc_id a : r.cycle) {
-        result.critical_cycle_events.push_back(p.node_event[p.graph.from(a)]);
-        result.critical_cycle_arcs.push_back(p.arc_original[a]);
-        epsilon += static_cast<std::uint32_t>(p.transit[a]);
-    }
-    result.critical_occurrence_period = epsilon;
-    rotate_cycle_to_border(result, sg_.border_events());
-    return result;
+    const ratio_result r = max_cycle_ratio_howard(*warm_problem_, howard_options{}, &warm_state_);
+    return ratio_cycle_time_result(sg_, *warm_problem_, r.ratio, r.cycle);
 }
 
 } // namespace tsg

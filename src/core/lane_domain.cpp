@@ -75,14 +75,4 @@ void lane_domain::rebind_lanes(const compiled_graph& base,
     }
 }
 
-void lane_domain::rebind_lanes(const compiled_graph& base,
-                               std::span<const std::vector<rational>> lanes,
-                               std::uint32_t periods)
-{
-    std::vector<const std::vector<rational>*> ptrs;
-    ptrs.reserve(lanes.size());
-    for (const std::vector<rational>& d : lanes) ptrs.push_back(&d);
-    rebind_lanes(base, std::span<const std::vector<rational>* const>(ptrs), periods);
-}
-
 } // namespace tsg

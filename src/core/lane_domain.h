@@ -103,10 +103,6 @@ public:
                       std::span<const std::vector<rational>* const> lanes,
                       std::uint32_t periods);
 
-    /// Convenience overload for contiguous assignments.
-    void rebind_lanes(const compiled_graph& base, std::span<const std::vector<rational>> lanes,
-                      std::uint32_t periods);
-
     [[nodiscard]] unsigned width() const noexcept { return width_; }
     [[nodiscard]] std::size_t arc_count() const noexcept { return arcs_; }
 

@@ -1,12 +1,10 @@
 #include "core/optimize.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 #include <utility>
 
 #include "core/compiled_graph.h"
@@ -99,17 +97,6 @@ void confirm_final(optimize_result& out, const signal_graph& sg)
     const rational confirmed = inc.analyze_warm().cycle_time;
     ensure(confirmed == out.final_cycle_time,
            "run_optimize: incremental re-analysis disagrees with the search");
-}
-
-/// Throws deadline_exceeded once `deadline` has passed; the epoch default
-/// means no deadline and reads no clock.
-void check_deadline(std::chrono::steady_clock::time_point deadline, std::size_t done,
-                    const char* unit)
-{
-    if (deadline.time_since_epoch().count() != 0 &&
-        std::chrono::steady_clock::now() >= deadline)
-        throw error("deadline_exceeded: deadline passed after " + std::to_string(done) + " " +
-                    unit);
 }
 
 // --- deterministic optimizer -------------------------------------------------
@@ -679,24 +666,16 @@ topk_result topk_statistical(const signal_graph& sg, const compiled_graph& cg,
     };
     std::map<std::vector<arc_id>, tally> witnesses;
 
-    // Streaming rounds, exactly like core/stats: sample k depends only on
-    // (seed, first_sample + k), so the tally is round-partition invariant.
-    const std::size_t round_size = 256;
-    monte_carlo_options mc = options.mc;
-    std::size_t have = 0;
-    while (have < options.samples) {
-        check_deadline(options.deadline, have, "samples");
-        mc.first_sample = options.mc.first_sample + have;
-        mc.samples = std::min(round_size, options.samples - have);
-        const std::vector<scenario> scenarios = monte_carlo_scenarios(sg, mc);
-        const scenario_batch_result batch = engine.run(scenarios, bopts);
-        for (const critical_cycle_stat& stat : batch.critical_cycles) {
-            const auto [it, inserted] =
-                witnesses.try_emplace(stat.arcs, tally{stat.count, have + stat.first_index});
-            if (!inserted) it->second.count += stat.count;
-        }
-        have += scenarios.size();
-    }
+    const std::size_t have = monte_carlo_rounds(
+        engine, sg, options.mc, options.samples, /*round_samples=*/0, bopts, options.deadline,
+        [&](const scenario_batch_result& batch, std::size_t first) {
+            for (const critical_cycle_stat& stat : batch.critical_cycles) {
+                const auto [it, inserted] = witnesses.try_emplace(
+                    stat.arcs, tally{stat.count, first + stat.first_index});
+                if (!inserted) it->second.count += stat.count;
+            }
+            return true;
+        });
     out.samples = have;
 
     // Rank: count descending, first appearance ascending (first indices of

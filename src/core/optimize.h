@@ -47,10 +47,10 @@
 // service), which keeps plan application O(edits), not O(graph).
 //
 // Deadlines.  A deterministic optimize checks optimize_options::stats
-// .deadline before each evaluation, report_topk checks
-// topk_options::deadline before each deterministic subproblem solve and
-// each statistical round, and statistical optimize inherits core/stats'
-// per-round check.  Once the deadline has passed they throw
+// .deadline before each evaluation, deterministic report_topk checks
+// topk_options::deadline before each subproblem solve, and the
+// statistical modes inherit the per-round check of core/stats' round
+// loop (monte_carlo_rounds).  Once the deadline has passed they throw
 // "deadline_exceeded: deadline passed after N evaluations" (or solves, or
 // samples); a run without a deadline reads no clock, and a run that
 // finishes returns exactly what it would without one.

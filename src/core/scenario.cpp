@@ -346,7 +346,7 @@ std::vector<scenario> corner_sweep_scenarios(const signal_graph& sg,
     require(!options.factor.is_negative() && options.factor < rational(1),
             "corner_sweep_scenarios: factor must lie in [0, 1)");
 
-    const bool core_only = options.core_only && !sg.repetitive_events().empty();
+    const bool cyclic = !sg.repetitive_events().empty(); // acyclic: sweep every arc
 
     std::vector<rational> nominal;
     nominal.reserve(sg.arc_count());
@@ -356,7 +356,7 @@ std::vector<scenario> corner_sweep_scenarios(const signal_graph& sg,
     for (arc_id a = 0; a < sg.arc_count(); ++a) {
         if (!sg.arc_live(a)) continue;
         const arc_info& arc = sg.arc(a);
-        if (core_only && !(sg.is_repetitive(arc.from) && sg.is_repetitive(arc.to)))
+        if (cyclic && !(sg.is_repetitive(arc.from) && sg.is_repetitive(arc.to)))
             continue;
         const std::string name =
             sg.event(arc.from).name + "->" + sg.event(arc.to).name;
@@ -578,6 +578,13 @@ std::vector<scenario> monte_carlo_scenarios(const signal_graph& sg,
     return mc_generate(sg, options, [&](arc_id a, std::int64_t u) {
         return mc_value(sampling, options, a, u);
     });
+}
+
+bool monte_carlo_table_fits(const signal_graph& sg, const monte_carlo_options& options)
+{
+    return options.resolution <= 4096 &&
+           sg.arc_count() * static_cast<std::size_t>(options.resolution + 1) <=
+               (std::size_t{1} << 22);
 }
 
 monte_carlo_table build_monte_carlo_table(const signal_graph& sg,

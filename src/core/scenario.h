@@ -274,17 +274,15 @@ struct corner_sweep_options {
     /// Relative perturbation: each swept arc gets one scenario at
     /// delay * (1 - factor) and one at delay * (1 + factor).
     rational factor = rational(1, 10);
-
-    /// Sweep only arcs inside the repetitive core (the ones that can move
-    /// the cycle time); start-up arcs are skipped.  Automatically widened
-    /// to all arcs on acyclic graphs.
-    bool core_only = true;
 };
 
-/// Two scenarios (minus/plus corner) per swept arc, in arc order.  Each
-/// scenario carries a full m-entry delay vector (2m * m rationals for a
-/// whole-core sweep) — simple and engine-uniform, but on graphs beyond
-/// ~10^4 arcs consider batching the sweep in arc chunks to bound memory.
+/// Two scenarios (minus/plus corner) per swept arc, in arc order.  The
+/// sweep covers the arcs inside the repetitive core (the ones that can
+/// move the cycle time) and skips start-up arcs; acyclic graphs sweep
+/// every arc.  Each scenario carries a full m-entry delay vector (2m * m
+/// rationals for a whole-core sweep) — simple and engine-uniform, but on
+/// graphs beyond ~10^4 arcs consider batching the sweep in arc chunks to
+/// bound memory.
 [[nodiscard]] std::vector<scenario> corner_sweep_scenarios(
     const signal_graph& sg, const corner_sweep_options& options = {});
 
@@ -378,6 +376,13 @@ struct monte_carlo_table {
                       static_cast<std::size_t>(u)];
     }
 };
+
+/// Whether the table of `options` over `sg` is small enough to build:
+/// resolution <= 4096 and at most 2^22 cells (arcs * (resolution + 1)).
+/// The statistics round loop (core/stats.h) builds one per run under this
+/// bound, the analysis service one per design version and grid.
+[[nodiscard]] bool monte_carlo_table_fits(const signal_graph& sg,
+                                          const monte_carlo_options& options);
 
 /// Materializes the sampling grid of `options` (ranges or spread) over the
 /// graph's arcs.  Validates exactly like monte_carlo_scenarios.

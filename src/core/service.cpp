@@ -247,9 +247,7 @@ std::vector<scenario> analysis_service::scenarios_for(design_version& version,
     // count) skip the cache and generate directly.
     if (request.kind == request_kind::montecarlo && !request.options.adaptive) {
         const monte_carlo_options mo = request.options.to_monte_carlo_options();
-        const std::size_t cells =
-            version.graph->arc_count() * static_cast<std::size_t>(mo.resolution + 1);
-        if (mo.resolution <= 4096 && cells <= (std::size_t{1} << 22)) {
+        if (monte_carlo_table_fits(*version.graph, mo)) {
             const auto key = std::make_pair(mo.spread.str(), mo.resolution);
             std::shared_ptr<const monte_carlo_table> table;
             {

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
-
-#include "util/parallel.h"
 
 namespace tsg {
 
@@ -88,22 +87,6 @@ stats_accumulator::moment_block stats_accumulator::merge_moments(const moment_bl
     return out;
 }
 
-stats_accumulator::moment_block stats_accumulator::block_of(const scenario_batch_result& batch,
-                                                            std::size_t first, std::size_t n)
-{
-    // Serial Welford — the identical operation sequence fold_value runs,
-    // so parallel per-block reduction is bit-equal to the serial fold.
-    moment_block b;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = batch.outcomes[first + i].cycle_time.to_double();
-        ++b.n;
-        const double d = x - b.mean;
-        b.mean += d / static_cast<double>(b.n);
-        b.m2 += d * (x - b.mean);
-    }
-    return b;
-}
-
 void stats_accumulator::fold_value(double x)
 {
     ++tail_.n;
@@ -172,35 +155,9 @@ void stats_accumulator::add(const scenario_outcome& outcome)
     add_tallies(outcome);
 }
 
-void stats_accumulator::accumulate(const scenario_batch_result& batch, unsigned max_threads)
+void stats_accumulator::accumulate(const scenario_batch_result& batch)
 {
-    require(!hist_.empty(), "stats_accumulator: default-constructed (no histogram support)");
-    const std::vector<scenario_outcome>& outcomes = batch.outcomes;
-    const std::size_t n = outcomes.size();
-
-    // Moments.  Blocks are keyed by absolute sample index: close the open
-    // tail first, fan the whole blocks out (each is an independent serial
-    // Welford), keep the remainder in the tail.  The block list ends up
-    // identical to a serial fold_value loop for every thread count.
-    std::size_t i = 0;
-    const unsigned workers = resolve_thread_count(max_threads);
-    if (workers > 1) {
-        while (i < n && tail_.n != 0) fold_value(outcomes[i++].cycle_time.to_double());
-        const std::size_t whole = (n - i) / block_size;
-        if (whole > 0) {
-            const std::size_t first_block = blocks_.size();
-            blocks_.resize(first_block + whole);
-            const std::size_t base = i;
-            parallel_for_index(whole, max_threads, [&](std::size_t b) {
-                blocks_[first_block + b] = block_of(batch, base + b * block_size, block_size);
-            });
-            i += whole * block_size;
-        }
-    }
-    for (; i < n; ++i) fold_value(outcomes[i].cycle_time.to_double());
-
-    // Tallies are exact/integral and folded serially in index order.
-    for (const scenario_outcome& o : outcomes) add_tallies(o);
+    for (const scenario_outcome& o : batch.outcomes) add(o);
 }
 
 void stats_accumulator::merge(const stats_accumulator& tail)
@@ -340,6 +297,45 @@ double stats_accumulator::group_criticality_ci_half_width(std::size_t group, dou
 
 // --- drivers -----------------------------------------------------------------
 
+void check_deadline(std::chrono::steady_clock::time_point deadline, std::size_t done,
+                    const char* unit)
+{
+    if (deadline.time_since_epoch().count() != 0 &&
+        std::chrono::steady_clock::now() >= deadline)
+        throw error("deadline_exceeded: deadline passed after " + std::to_string(done) + " " +
+                    unit);
+}
+
+std::size_t monte_carlo_rounds(
+    const scenario_engine& engine, const signal_graph& sg, const monte_carlo_options& mc,
+    std::size_t samples, std::size_t round_samples, const scenario_batch_options& batch,
+    std::chrono::steady_clock::time_point deadline,
+    const std::function<bool(const scenario_batch_result&, std::size_t first)>& fold)
+{
+    // A run of no more samples than the grid has points would build more
+    // table values than it draws.
+    std::optional<monte_carlo_table> table;
+    if (monte_carlo_table_fits(sg, mc) && samples > static_cast<std::size_t>(mc.resolution))
+        table = build_monte_carlo_table(sg, mc);
+
+    const std::size_t round = round_samples > 0 ? round_samples : 256;
+    monte_carlo_options round_mc = mc;
+    std::size_t have = 0;
+    while (have < samples) {
+        check_deadline(deadline, have, "samples");
+        round_mc.first_sample = mc.first_sample + have;
+        round_mc.samples = std::min(round, samples - have);
+        const scenario_batch_result result =
+            engine.run(table ? monte_carlo_scenarios(sg, round_mc, *table)
+                             : monte_carlo_scenarios(sg, round_mc),
+                       batch);
+        const std::size_t first = have;
+        have += round_mc.samples;
+        if (!fold(result, first)) break;
+    }
+    return have;
+}
+
 namespace {
 
 stats_run_result run_monte_carlo(const scenario_engine& engine, const signal_graph& sg,
@@ -383,7 +379,6 @@ stats_run_result run_monte_carlo(const scenario_engine& engine, const signal_gra
     bopts.solver = options.solver;
     bopts.lane_width = options.lane_width;
 
-    const std::size_t round = options.round_samples > 0 ? options.round_samples : 256;
     const std::size_t cap = adaptive ? options.max_samples : fixed_samples;
     const std::size_t floor_samples =
         adaptive ? std::max<std::size_t>(options.min_samples, 2) : 0;
@@ -398,28 +393,18 @@ stats_run_result run_monte_carlo(const scenario_engine& engine, const signal_gra
                                                       options.confidence_z);
     };
 
-    const bool bounded = options.deadline.time_since_epoch().count() != 0;
-    monte_carlo_options round_mc = mc;
-    while (out.stats.count() < cap) {
-        if (bounded && std::chrono::steady_clock::now() >= options.deadline)
-            throw error("deadline_exceeded: deadline passed after " +
-                        std::to_string(out.stats.count()) + " of " +
-                        std::to_string(cap) + " samples");
-        const std::size_t have = out.stats.count();
-        round_mc.first_sample = mc.first_sample + have;
-        round_mc.samples = std::min(round, cap - have);
-        const std::vector<scenario> scenarios = monte_carlo_scenarios(sg, round_mc);
-        const scenario_batch_result batch = engine.run(scenarios, bopts);
-        out.stats.accumulate(batch, options.max_threads);
-        ++out.rounds;
-        out.lane_groups += batch.lane_groups;
-        out.lane_scenarios += batch.lane_scenarios;
-        out.lane_evictions += batch.lane_evictions;
-        out.scalar_scenarios += batch.scalar_scenarios;
-        if (adaptive && out.stats.count() >= floor_samples &&
-            target_half_width() <= options.epsilon)
-            break;
-    }
+    monte_carlo_rounds(
+        engine, sg, mc, cap, options.round_samples, bopts, options.deadline,
+        [&](const scenario_batch_result& batch, std::size_t) {
+            out.stats.accumulate(batch);
+            ++out.rounds;
+            out.lane_groups += batch.lane_groups;
+            out.lane_scenarios += batch.lane_scenarios;
+            out.lane_evictions += batch.lane_evictions;
+            out.scalar_scenarios += batch.scalar_scenarios;
+            return !(adaptive && out.stats.count() >= floor_samples &&
+                     target_half_width() <= options.epsilon);
+        });
 
     out.achieved_half_width = target_half_width();
     out.converged = !adaptive || out.achieved_half_width <= options.epsilon;

@@ -16,23 +16,23 @@
 //     per-group (per-gate) criticality, all with normal-approximation
 //     confidence intervals.
 //   * monte_carlo_statistics — fixed-size runs evaluated in streaming
-//     rounds (generate round, evaluate on the engine, fold, discard).
+//     rounds (monte_carlo_rounds: draw a round, evaluate, fold, discard).
 //   * monte_carlo_adaptive — grows the run round by round until the
 //     confidence interval of the chosen target statistic (the lambda mean,
 //     or a quantile) is narrower than stats_options::epsilon, or a sample
 //     cap is hit.
 //
 // Determinism.  Monte Carlo sample k depends only on (seed, k) — never on
-// the round partition, the thread layout or the lane width (see
-// monte_carlo_scenarios) — and the accumulator folds samples in index
-// order through fixed-size *blocks*: each block of block_size consecutive
-// samples is reduced serially (Welford), and completed blocks combine
-// left-to-right by Chan's parallel update.  Block boundaries sit at fixed
-// absolute sample indices, so any partition of the sample stream — one
-// big batch, adaptive rounds, per-worker slices merged in order — runs
-// the identical sequence of floating-point operations and produces
-// bit-identical statistics.  In particular an adaptive run is a bit-exact
-// prefix replay of the fixed run with the same seed (asserted by
+// the round partition, the thread layout, the lane width or a sampling
+// table (see monte_carlo_scenarios) — and the accumulator folds samples
+// serially in index order through fixed-size *blocks*: each block of
+// block_size consecutive samples is reduced by Welford steps, and
+// completed blocks combine left-to-right by Chan's parallel update.
+// Block boundaries sit at fixed absolute sample indices, so any partition
+// of the sample stream — one big batch, adaptive rounds, block-aligned
+// merges — runs the identical sequence of floating-point operations and
+// produces bit-identical statistics.  In particular an adaptive run is a
+// bit-exact prefix replay of the fixed run with the same seed (asserted by
 // tests/test_stats.cpp and bench/bench_stats.cpp).
 //
 // Everything except the moments stays exact or integral: min/max are
@@ -44,6 +44,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -138,7 +139,7 @@ struct arc_group_map {
 
 /// Streaming statistics over scenario outcomes, folded in sample-index
 /// order.  See the header comment for the block discipline that makes
-/// accumulation bit-deterministic across workers, lanes and rounds.
+/// accumulation bit-deterministic across lanes, rounds and merges.
 class stats_accumulator {
 public:
     /// Samples per moments block.  Fixed so block boundaries (absolute
@@ -160,11 +161,8 @@ public:
     /// (or slack) on when criticality matters.
     void add(const scenario_outcome& outcome);
 
-    /// Folds a whole batch, outcomes in order.  `max_threads` fans the
-    /// per-block moment reduction out (blocks are independent); the fold
-    /// of block results is serial and in index order, so the result is
-    /// bit-identical to a serial add() loop for every thread count.
-    void accumulate(const scenario_batch_result& batch, unsigned max_threads = 1);
+    /// Folds a whole batch, outcomes in order: exactly an add() loop.
+    void accumulate(const scenario_batch_result& batch);
 
     /// Appends `tail`, which must have been accumulated from the samples
     /// directly following this accumulator's (tail's sample 0 == this
@@ -261,8 +259,6 @@ private:
 
     [[nodiscard]] static moment_block merge_moments(const moment_block& a,
                                                     const moment_block& b);
-    [[nodiscard]] static moment_block block_of(const scenario_batch_result& batch,
-                                               std::size_t first, std::size_t n);
     [[nodiscard]] moment_block folded() const;
     void fold_value(double x);
     void add_tallies(const scenario_outcome& outcome);
@@ -325,6 +321,25 @@ struct stats_run_result {
     std::size_t lane_evictions = 0;
     std::size_t scalar_scenarios = 0;
 };
+
+/// Throws "deadline_exceeded: deadline passed after <done> <unit>" once
+/// `deadline` has passed; the epoch default means none and reads no clock.
+void check_deadline(std::chrono::steady_clock::time_point deadline, std::size_t done,
+                    const char* unit);
+
+/// The streaming round loop under every statistic here and statistical
+/// top-K: evaluates stream samples [mc.first_sample, mc.first_sample +
+/// samples) in rounds of at most `round_samples` (0: 256, a multiple of
+/// every lane width), checking `deadline` before each, and hands each
+/// round and its run offset to `fold`, which returns whether to go on.  A
+/// run of more samples than its grid has points draws through one table
+/// when monte_carlo_table_fits, else computes each delay; the rounds are
+/// bit-identical either way.  Returns the samples evaluated.
+std::size_t monte_carlo_rounds(
+    const scenario_engine& engine, const signal_graph& sg, const monte_carlo_options& mc,
+    std::size_t samples, std::size_t round_samples, const scenario_batch_options& batch,
+    std::chrono::steady_clock::time_point deadline,
+    const std::function<bool(const scenario_batch_result&, std::size_t first)>& fold);
 
 /// Evaluates `mc.samples` Monte Carlo scenarios in streaming rounds and
 /// returns the accumulated statistics.  Memory stays bounded by one round

@@ -443,9 +443,9 @@ TEST(Incremental, LaneWorkspaceRepacksAfterInPlaceStructuralEdit)
     const auto sweep = [&] {
         const auto periods =
             static_cast<std::uint32_t>(eng.graph().border_events().size());
-        const std::vector<std::vector<rational>> lanes(2, eng.compiled().delay());
-        dom.rebind_lanes(eng.compiled(), std::span<const std::vector<rational>>(lanes),
-                         periods);
+        const std::vector<rational>& delay = eng.compiled().delay();
+        const std::vector<const std::vector<rational>*> lanes(2, &delay);
+        dom.rebind_lanes(eng.compiled(), lanes, periods);
         analyze_cycle_time_lanes(eng.compiled(), dom, periods, ws, out);
     };
 

@@ -607,6 +607,25 @@ TEST(TopK, StatisticalTalliesWitnessesDeterministically)
         EXPECT_EQ(a.cycles[i].first_index, b.cycles[i].first_index);
     }
 
+    // The round partition must not change the tally either: one engine run
+    // over all 300 samples ranks the same cycles with the same counts and
+    // first indices.
+    const compiled_graph cg(sg);
+    const scenario_engine engine(cg);
+    monte_carlo_options mc = opts.mc;
+    mc.samples = opts.samples;
+    scenario_batch_options whole;
+    whole.with_slack = false;
+    whole.with_witness = true;
+    whole.solver = opts.solver;
+    const scenario_batch_result batch = engine.run(monte_carlo_scenarios(sg, mc), whole);
+    ASSERT_LE(a.cycles.size(), batch.critical_cycles.size());
+    for (std::size_t i = 0; i < a.cycles.size(); ++i) {
+        EXPECT_EQ(a.cycles[i].arcs, batch.critical_cycles[i].arcs);
+        EXPECT_EQ(a.cycles[i].count, batch.critical_cycles[i].count);
+        EXPECT_EQ(a.cycles[i].first_index, batch.critical_cycles[i].first_index);
+    }
+
     // Thread/lane layouts must not change the tally (witness contract of
     // the scenario engine under border_sweep).
     for (const unsigned threads : {0u, 3u}) {

@@ -64,7 +64,7 @@ void expect_bit_identical(const stats_accumulator& a, const stats_accumulator& b
     EXPECT_EQ(a.fallback_count(), b.fallback_count());
 }
 
-TEST(Stats, AccumulateMatchesSerialAddForEveryThreadCount)
+TEST(Stats, AccumulateMatchesSerialAdd)
 {
     const signal_graph sg = random_fractional_graph(0x5eed, 24);
     const compiled_graph compiled(sg);
@@ -84,10 +84,55 @@ TEST(Stats, AccumulateMatchesSerialAddForEveryThreadCount)
     stats_accumulator serial(sg.arc_count(), 32, lo, hi);
     for (const scenario_outcome& o : batch.outcomes) serial.add(o);
 
-    for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
-        stats_accumulator acc(sg.arc_count(), 32, lo, hi);
-        acc.accumulate(batch, threads);
-        expect_bit_identical(serial, acc);
+    stats_accumulator acc(sg.arc_count(), 32, lo, hi);
+    acc.accumulate(batch);
+    expect_bit_identical(serial, acc);
+}
+
+TEST(Stats, StatisticsDoNotDependOnTheThreadBudget)
+{
+    // The moments must come out of one fold sequence whatever the thread
+    // budget: a fold that fans blocks out to workers lets the compiler
+    // contract its Welford step differently (fused multiply-add) from the
+    // serial one, which moves the last bit of mean and variance.
+    random_sg_options gopts;
+    gopts.events = 256;
+    gopts.extra_arcs = 256;
+    gopts.border_limit = 4;
+    gopts.seed = 7;
+    const signal_graph sg = random_marked_graph(gopts);
+    const compiled_graph compiled(sg);
+    const scenario_engine engine(compiled);
+
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        monte_carlo_options mc;
+        mc.samples = 256;
+        mc.seed = seed;
+        stats_options opts;
+        opts.criticality = true;
+        opts.solver = cycle_time_solver::border_sweep;
+        opts.max_threads = 1;
+        const stats_run_result serial = monte_carlo_statistics(engine, sg, mc, opts);
+        opts.max_threads = 4;
+        const stats_run_result threaded = monte_carlo_statistics(engine, sg, mc, opts);
+        SCOPED_TRACE(seed);
+        expect_bit_identical(serial.stats, threaded.stats);
+    }
+}
+
+TEST(Stats, PassedDeadlineStopsTheRunBeforeItsFirstSample)
+{
+    const signal_graph sg = c_oscillator_sg();
+    const compiled_graph compiled(sg);
+    const scenario_engine engine(compiled);
+
+    stats_options opts;
+    opts.deadline = std::chrono::steady_clock::time_point(std::chrono::nanoseconds(1));
+    try {
+        (void)monte_carlo_statistics(engine, sg, {}, opts);
+        ADD_FAILURE() << "expected deadline_exceeded";
+    } catch (const error& e) {
+        EXPECT_STREQ(e.what(), "deadline_exceeded: deadline passed after 0 samples");
     }
 }
 
