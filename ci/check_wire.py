@@ -9,8 +9,12 @@ requests whose ids hold a raw control byte and a \\u00e9 escape.  Every
 output line must load with json.loads (NaN and Infinity rejected), tool
 output must be exactly one line, every response must echo its request id,
 and a response to a request the tool also answers must embed the tool's
-document byte for byte.  The `stats` payload must carry, as a JSON
-number, every key perfbench/run.py reads (BENCH_STATS_KEYS), and the
+document byte for byte.  Every sweep, montecarlo (fixed and adaptive)
+and criticality response must report in its envelope's `scenarios` what
+its payload says it evaluated: `aggregate.scenarios` for batches,
+`statistics.samples` for statistics runs.  The `stats` payload must
+carry, as a JSON number, every key perfbench/run.py reads
+(BENCH_STATS_KEYS), and the
 `health` payload a status of "ok".  `tsg_tool montecarlo --samples 3abc`,
 `tsg_serve --pipe --demo osc --quota-rps 5abc` and `... --conn-rps 1e999`
 must each exit 1, the daemon with an error naming the flag.  Exit status
@@ -141,6 +145,17 @@ def check_bench_contract(c, kind, payload):
                 "stats payload carries " + ".".join(path) + " as a number", repr(value))
 
 
+def check_scenario_count(c, label, kind, doc):
+    if kind not in ("sweep", "montecarlo", "criticality"):
+        return
+    payload = doc.get("payload", {})
+    block = payload.get("aggregate") or payload.get("statistics") or {}
+    evaluated = block.get("scenarios", block.get("samples"))
+    c.check(isinstance(evaluated, int) and doc.get("scenarios") == evaluated,
+            label + " reports the scenarios it evaluated",
+            f"envelope {doc.get('scenarios')!r}, payload {evaluated!r}")
+
+
 def check_daemon(c, serve, tool_outputs):
     lines = []
     expected = []
@@ -176,6 +191,7 @@ def check_daemon(c, serve, tool_outputs):
         if not c.check(doc.get("ok") is True, label + " is ok", json.dumps(doc.get("error"))):
             continue
         check_bench_contract(c, kind, doc.get("payload", {}))
+        check_scenario_count(c, label, kind, doc)
         if tool_args is not None and tuple(tool_args) in tool_outputs:
             c.check(line.endswith('"payload": ' + tool_outputs[tuple(tool_args)] + "}"),
                     label + " embeds the tool's document byte for byte")

@@ -538,10 +538,13 @@ void write_cycle_time(json_writer& out, const signal_graph& sg, const cycle_time
 
 } // namespace
 
-std::string batch_payload_json(const analysis_request& request, const signal_graph& sg,
-                               const rational& nominal,
-                               const std::vector<scenario>& scenarios,
-                               const scenario_batch_result& batch)
+namespace {
+
+/// batch_payload_json over any label lookup.
+template <typename LabelOf>
+std::string render_batch_payload(const analysis_request& request, const signal_graph& sg,
+                                 const rational& nominal, LabelOf&& label_of,
+                                 const scenario_batch_result& batch)
 {
     json_writer out;
     out.begin_object();
@@ -550,10 +553,10 @@ std::string batch_payload_json(const analysis_request& request, const signal_gra
     write_exact(out.key("nominal_cycle_time"), nominal);
     out.key("aggregate").begin_object().key("scenarios").value(batch.outcomes.size());
     exact_members(out.key("min").begin_object(), batch.min_cycle_time)
-        .key("label").value(scenarios[batch.min_index].label)
+        .key("label").value(label_of(batch.min_index))
         .end_object();
     exact_members(out.key("max").begin_object(), batch.max_cycle_time)
-        .key("label").value(scenarios[batch.max_index].label)
+        .key("label").value(label_of(batch.max_index))
         .end_object();
     out.key("mean_value").value(batch.mean_cycle_time)
         .key("rational_fallbacks").value(batch.fallback_count);
@@ -564,14 +567,14 @@ std::string batch_payload_json(const analysis_request& request, const signal_gra
         out.begin_object()
             .key("arcs").value(stat.arcs)
             .key("count").value(stat.count)
-            .key("first_label").value(scenarios[stat.first_index].label)
+            .key("first_label").value(label_of(stat.first_index))
             .end_object();
     out.end_array().end_object();
     out.key("scenarios").begin_array();
     for (std::size_t i = 0; i < batch.outcomes.size(); ++i) {
         const scenario_outcome& o = batch.outcomes[i];
         out.begin_object()
-            .key("label").value(scenarios[i].label)
+            .key("label").value(label_of(i))
             .key("cycle_time").value(o.cycle_time.str())
             .key("value").value(o.cycle_time.to_double())
             .key("fixed_point").value(o.fixed_point)
@@ -580,6 +583,26 @@ std::string batch_payload_json(const analysis_request& request, const signal_gra
             .end_object();
     }
     return out.end_array().end_object().take();
+}
+
+} // namespace
+
+std::string batch_payload_json(const analysis_request& request, const signal_graph& sg,
+                               const rational& nominal, const scenario_source& source,
+                               const scenario_batch_result& batch)
+{
+    return render_batch_payload(
+        request, sg, nominal, [&](std::size_t i) { return source.label(i); }, batch);
+}
+
+std::string batch_payload_json(const analysis_request& request, const signal_graph& sg,
+                               const rational& nominal,
+                               const std::vector<scenario>& scenarios,
+                               const scenario_batch_result& batch)
+{
+    return render_batch_payload(
+        request, sg, nominal,
+        [&](std::size_t i) -> const std::string& { return scenarios[i].label; }, batch);
 }
 
 std::string statistics_json(const std::string& command, const std::string& solver,
@@ -1010,6 +1033,26 @@ std::string analyze_payload(const analysis_request& request, const signal_graph&
 
 } // namespace
 
+std::unique_ptr<scenario_source> request_source(const analysis_request& request,
+                                                const signal_graph& sg,
+                                                std::shared_ptr<const monte_carlo_table> table)
+{
+    switch (request.kind) {
+    case request_kind::sweep:
+        return std::make_unique<corner_sweep_source>(
+            sg, request.options.to_corner_sweep_options());
+    case request_kind::montecarlo: {
+        const monte_carlo_options mc = request.options.to_monte_carlo_options();
+        if (!table) table = monte_carlo_run_table(sg, mc, mc.samples);
+        return std::make_unique<monte_carlo_source>(sg, mc, std::move(table));
+    }
+    default:
+        throw error("bad_request: request kind '" +
+                    std::string(request_kind_name(request.kind)) +
+                    "' has no scenario batch");
+    }
+}
+
 std::vector<scenario> request_scenarios(const analysis_request& request,
                                         const signal_graph& sg)
 {
@@ -1028,9 +1071,12 @@ std::vector<scenario> request_scenarios(const analysis_request& request,
 std::string execute_analysis_payload(const analysis_request& request, const signal_graph& sg,
                                      const compiled_graph& compiled,
                                      const scenario_engine& engine,
-                                     std::chrono::steady_clock::time_point deadline)
+                                     std::chrono::steady_clock::time_point deadline,
+                                     const std::shared_ptr<const monte_carlo_table>& table,
+                                     std::size_t* scenarios)
 {
     const request_options& o = request.options;
+    if (scenarios) *scenarios = 0;
     if (request.kind == request_kind::analyze) return analyze_payload(request, sg, compiled);
 
     require(request.kind == request_kind::sweep ||
@@ -1061,6 +1107,7 @@ std::string execute_analysis_payload(const analysis_request& request, const sign
         monte_carlo_options mc = o.to_monte_carlo_options();
         stats_options stats = o.to_stats_options(request.kind);
         stats.deadline = deadline;
+        stats.table = table;
         stats_run_result run;
         if (o.adaptive) {
             run = monte_carlo_adaptive(engine, sg, mc, stats);
@@ -1068,18 +1115,20 @@ std::string execute_analysis_payload(const analysis_request& request, const sign
             mc.samples = o.samples;
             run = monte_carlo_statistics(engine, sg, mc, stats);
         }
+        if (scenarios) *scenarios = run.stats.count();
         return statistics_json(request_kind_name(request.kind), solver_spelling(o.solver),
                                sg, run, stats);
     }
 
-    const std::vector<scenario> scenarios = request_scenarios(request, sg);
-    require(!scenarios.empty(),
+    const std::unique_ptr<scenario_source> source = request_source(request, sg, table);
+    require(source->size() > 0,
             "invalid_model: no scenarios to evaluate (no perturbable arcs)");
     const rational nominal =
         engine.evaluate(compiled.delay(), /*with_slack=*/false, o.max_threads, o.solver)
             .cycle_time;
-    const scenario_batch_result batch = engine.run(scenarios, o.to_batch_options());
-    return batch_payload_json(request, sg, nominal, scenarios, batch);
+    const scenario_batch_result batch = engine.run(*source, o.to_batch_options());
+    if (scenarios) *scenarios = source->size();
+    return batch_payload_json(request, sg, nominal, *source, batch);
 }
 
 std::string execute_edit_payload(const analysis_request& request, incremental_engine& engine)

@@ -31,6 +31,7 @@
 #define TSG_CORE_API_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -342,16 +343,28 @@ struct edit_batch_status {
 
 // --- executors ---------------------------------------------------------------
 
-/// Scenario generation for the batch kinds (sweep, non-adaptive
-/// montecarlo), exactly as the tool generates them.  The building block
-/// the service coalescer uses to merge requests into one engine batch.
+/// The batch of a batch-kind request (sweep, non-adaptive montecarlo) as a
+/// scenario source — the building block the service coalescer merges into
+/// one engine run.  A Monte Carlo source draws through `table` (built for
+/// the request's grid over `sg`), or when null through the table of
+/// monte_carlo_run_table's rule.  `sg` must outlive the source.
+[[nodiscard]] std::unique_ptr<scenario_source> request_source(
+    const analysis_request& request, const signal_graph& sg,
+    std::shared_ptr<const monte_carlo_table> table = nullptr);
+
+/// The same batch, materialized exactly as the tool generates it.
 [[nodiscard]] std::vector<scenario> request_scenarios(const analysis_request& request,
                                                       const signal_graph& sg);
 
 /// Renders the payload of a batch-kind request (sweep, non-adaptive
 /// montecarlo) from its evaluated, possibly sliced-back, batch result —
-/// the demux half of the coalescer.  The header echoes the request's kind
+/// the demux half of the coalescer.  Labels come from the request's own
+/// batch, indexed like the result.  The header echoes the request's kind
 /// and solver spelling.
+[[nodiscard]] std::string batch_payload_json(const analysis_request& request,
+                                             const signal_graph& sg, const rational& nominal,
+                                             const scenario_source& source,
+                                             const scenario_batch_result& batch);
 [[nodiscard]] std::string batch_payload_json(const analysis_request& request,
                                              const signal_graph& sg, const rational& nominal,
                                              const std::vector<scenario>& scenarios,
@@ -365,11 +378,18 @@ struct edit_batch_status {
 /// the epoch default) bounds statistics streaming, optimize and
 /// report_topk: they check it between rounds, evaluations or solves and
 /// throw a deadline_exceeded error once it passes.  Deadlines never change
-/// the payload of work that completes.
+/// the payload of work that completes.  `table`, when given, is the
+/// sampling table of the request's Monte Carlo grid (spread and
+/// resolution) over `sg`; Monte Carlo and criticality runs draw through it
+/// instead of building their own.  `scenarios`, when given, receives the
+/// scenarios or samples the run evaluated (0 for analyze, optimize and
+/// report_topk).
 [[nodiscard]] std::string execute_analysis_payload(
     const analysis_request& request, const signal_graph& sg,
     const compiled_graph& compiled, const scenario_engine& engine,
-    std::chrono::steady_clock::time_point deadline = {});
+    std::chrono::steady_clock::time_point deadline = {},
+    const std::shared_ptr<const monte_carlo_table>& table = nullptr,
+    std::size_t* scenarios = nullptr);
 
 /// Executes an edit request: drives `engine` through the request's script
 /// and returns the edit-run document.  The engine is left on the edited

@@ -9,15 +9,6 @@
 
 namespace tsg {
 
-namespace {
-
-/// The fixed-point scale is capped so that period-count * scale products
-/// (delta denominators) and scaled Bellman-Ford potentials stay far from
-/// the int64 edge.
-constexpr std::int64_t max_scale = std::numeric_limits<std::int32_t>::max();
-
-} // namespace
-
 compiled_graph::compiled_graph(const signal_graph& sg, compile_options options)
     : sg_(&sg), use_fixed_point_(options.use_fixed_point)
 {
@@ -73,6 +64,14 @@ std::uint32_t fixed_point_period_limit(int128 mass)
     return limit < 2 ? 0 : static_cast<std::uint32_t>(std::min<int128>(limit, max_period_limit));
 }
 
+std::int64_t fixed_point_scale_lcm(std::int64_t scale, std::int64_t den)
+{
+    constexpr std::int64_t max_scale = std::numeric_limits<std::int32_t>::max();
+    if (scale % den == 0) return scale;
+    const int128 candidate = static_cast<int128>(scale / std::gcd(scale, den)) * den;
+    return candidate > max_scale ? 0 : static_cast<std::int64_t>(candidate);
+}
+
 void compute_fixed_point_domain(const std::vector<rational>& delay, fixed_point_domain& out)
 {
     out.scale = 0;
@@ -98,12 +97,8 @@ void compute_fixed_point_domain(const std::vector<rational>& delay, fixed_point_
         if (den <= 64) [[likely]] {
             den_mask |= std::uint64_t{1} << (den - 1);
         } else {
-            if (large_lcm % static_cast<std::int64_t>(den) != 0) {
-                const std::int64_t g = std::gcd(large_lcm, static_cast<std::int64_t>(den));
-                const int128 candidate = static_cast<int128>(large_lcm / g) * den;
-                if (candidate > max_scale) return; // domain disabled (scale stays 0)
-                large_lcm = static_cast<std::int64_t>(candidate);
-            }
+            large_lcm = fixed_point_scale_lcm(large_lcm, static_cast<std::int64_t>(den));
+            if (large_lcm == 0) return; // domain disabled (scale stays 0)
         }
     }
     out.negative = neg_mask < 0;
@@ -112,12 +107,8 @@ void compute_fixed_point_domain(const std::vector<rational>& delay, fixed_point_
     while (den_mask != 0) {
         const int bit = std::countr_zero(den_mask);
         den_mask &= den_mask - 1;
-        const std::int64_t den = bit + 1;
-        if (scale % den == 0) continue;
-        const std::int64_t g = std::gcd(scale, den);
-        const int128 candidate = static_cast<int128>(scale / g) * den;
-        if (candidate > max_scale) return; // domain disabled (scale stays 0)
-        scale = static_cast<std::int64_t>(candidate);
+        scale = fixed_point_scale_lcm(scale, bit + 1);
+        if (scale == 0) return; // domain disabled (scale stays 0)
     }
 
     // Scaled delays d * L, all exact integers; track the total mass to

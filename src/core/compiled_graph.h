@@ -70,6 +70,11 @@ struct fixed_point_domain {
 /// single-period sweeps.
 [[nodiscard]] std::uint32_t fixed_point_period_limit(int128 mass);
 
+/// One step of the fixed-point scale fold: lcm(scale, den), or 0 once it
+/// passes the scale cap (INT32_MAX) every domain shares, so period-count *
+/// scale products and scaled potentials stay far from the int64 edge.
+[[nodiscard]] std::int64_t fixed_point_scale_lcm(std::int64_t scale, std::int64_t den);
+
 /// Computes the fixed-point domain of one delay assignment.  `out.scaled` is
 /// reused (no allocation when its capacity suffices) — the per-lane rebind
 /// path calls this once per scenario.  The criteria are exactly those of

@@ -15,14 +15,17 @@
 // memory and auto-vectorize (see util/simd.h); every lane remains an
 // independent exact computation, bit-identical to its scalar rebind.
 //
-// Per-lane domains.  Each lane keeps its own fixed-point scale (the LCM of
-// its delay denominators), computed by the same code as the scalar rebind
-// (compute_fixed_point_domain).  A lane whose scale or period budget would
-// overflow is *evicted*: its SoA slots are zero-filled (benign values for
-// the sweeps, whose results for that lane are discarded) and the engine
-// re-evaluates just that scenario through the exact rational path — sibling
-// lanes stay packed and exact, mirroring the scalar rebind's per-scenario
-// fallback.
+// Per-lane domains.  Each lane keeps its own fixed-point scale.  A lane
+// packed from rationals gets the LCM of its delay denominators, computed by
+// the same code as the scalar rebind (compute_fixed_point_domain); a lane
+// drawn from a scenario source's int64 image (core/scenario.h) arrives
+// already scaled, at the source's common scale.  Any scale that keeps the
+// delays exact gives the same rational results.  A lane whose scale or
+// period budget would overflow is *evicted*: its SoA slots are zero-filled
+// (benign values for the sweeps, whose results for that lane are
+// discarded) and the engine re-evaluates just that scenario through the
+// exact rational path — sibling lanes stay packed and exact, mirroring the
+// scalar rebind's per-scenario fallback.
 //
 // Unreached encoding.  The lane sweeps have no per-lane reached flags;
 // "unreached" is the sentinel value `unreached` (INT64_MIN / 2).  Real
@@ -35,8 +38,8 @@
 #define TSG_CORE_LANE_DOMAIN_H
 
 #include <cstdint>
+#include <functional>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "core/compiled_graph.h"
@@ -91,17 +94,22 @@ public:
     /// Sentinel for "instantiation not reached" in the lane sweeps.
     static constexpr std::int64_t unreached = std::numeric_limits<std::int64_t>::min() / 2;
 
-    /// Packs `lanes.size()` delay assignments (full original-arc indexing,
-    /// validated like compiled_graph::rebind) against `base`'s structure,
-    /// for sweeps covering `periods` unfolding periods.  Reuses this
-    /// object's storage — the engine calls it once per lane group.
+    /// Packs `width` delay assignments against `base`'s structure, for
+    /// sweeps covering `periods` unfolding periods.  Reuses this object's
+    /// storage — the engine calls it once per lane group.
     ///
-    /// Lanes that cannot live in the scaled-int64 domain for `periods`
-    /// (exactly the assignments whose scalar rebind would fall back to
-    /// rational arithmetic) are marked evicted and zero-filled.
-    void rebind_lanes(const compiled_graph& base,
-                      std::span<const std::vector<rational>* const> lanes,
-                      std::uint32_t periods);
+    /// Lane l arrives already scaled when `image(l, d)` leaves its
+    /// fixed-point domain in `d` (d.scaled over the source graph's arcs,
+    /// storage reused — a scenario source's int64 image) and returns true.
+    /// Otherwise its domain is computed from `rationals(l)` (full
+    /// original-arc indexing, validated like compiled_graph::rebind) by the
+    /// scalar rebind's code.  Lanes that cannot live in the scaled-int64
+    /// domain for `periods` (exactly the assignments whose scalar rebind
+    /// would fall back to rational arithmetic) are marked evicted and
+    /// zero-filled.
+    void rebind_lanes(const compiled_graph& base, unsigned width, std::uint32_t periods,
+                      const std::function<bool(unsigned, fixed_point_domain&)>& image,
+                      const std::function<const std::vector<rational>&(unsigned)>& rationals);
 
     [[nodiscard]] unsigned width() const noexcept { return width_; }
     [[nodiscard]] std::size_t arc_count() const noexcept { return arcs_; }

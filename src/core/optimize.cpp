@@ -667,7 +667,8 @@ topk_result topk_statistical(const signal_graph& sg, const compiled_graph& cg,
     std::map<std::vector<arc_id>, tally> witnesses;
 
     const std::size_t have = monte_carlo_rounds(
-        engine, sg, options.mc, options.samples, /*round_samples=*/0, bopts, options.deadline,
+        engine, sg, options.mc, /*table=*/nullptr, options.samples, /*round_samples=*/0, bopts,
+        options.deadline,
         [&](const scenario_batch_result& batch, std::size_t first) {
             for (const critical_cycle_stat& stat : batch.critical_cycles) {
                 const auto [it, inserted] = witnesses.try_emplace(

@@ -126,7 +126,8 @@ scenario_outcome evaluate_howard_warm(howard_chain& chain, const std::vector<rat
 // --- lane-batched path -------------------------------------------------------
 
 /// Per-worker reusable state for the lane path: the SoA domain, the sweep
-/// workspace, and the per-group result slots.
+/// workspace, the per-group result slots and the rationals of lanes that
+/// need them.
 struct lane_worker_state {
     lane_domain dom;
     lane_workspace ws;
@@ -134,7 +135,8 @@ struct lane_worker_state {
     std::vector<lane_pert> pert;
     std::vector<slack_result> slack;
     std::vector<rational> lambda;
-    std::vector<const std::vector<rational>*> ptrs;
+    std::vector<std::vector<rational>> scratch;      ///< per lane, storage reused
+    std::vector<const std::vector<rational>*> built; ///< per lane, once built
     std::vector<std::uint8_t> mark; ///< arc bitmap for O(m) witness sorting
 };
 
@@ -155,19 +157,29 @@ std::vector<arc_id> sorted_arcs_via_bitmap(const std::vector<arc_id>& arcs,
     return out;
 }
 
-/// Evaluates one full lane group (W consecutive scenarios).  Evicted lanes
-/// fall back to the engine's scalar rational path one by one; sibling
-/// lanes stay in the SoA sweep.  Returns the eviction count.
+/// Evaluates one full lane group: scenarios [first, first + width) of
+/// `source`.  Each lane's row comes from the source's int64 image, or else
+/// from its rationals.  Evicted lanes fall back to the engine's scalar
+/// rational path one by one; sibling lanes stay in the SoA sweep.  Returns
+/// the eviction count.
 std::size_t run_lane_group(const scenario_engine& engine, const compiled_graph& base,
-                           const scenario* group, unsigned width, bool cyclic,
-                           std::uint32_t periods, bool with_slack, bool with_witness,
-                           cycle_time_solver solver, lane_worker_state& st,
-                           scenario_outcome* out)
+                           const scenario_source& source, std::size_t first, unsigned width,
+                           bool cyclic, std::uint32_t periods, bool with_slack,
+                           bool with_witness, cycle_time_solver solver,
+                           lane_worker_state& st, scenario_outcome* out)
 {
-    st.ptrs.resize(width);
-    for (unsigned l = 0; l < width; ++l) st.ptrs[l] = &group[l].delay;
-    const std::span<const std::vector<rational>* const> ptrs(st.ptrs);
-    st.dom.rebind_lanes(base, ptrs, periods);
+    st.scratch.resize(width);
+    st.built.assign(width, nullptr);
+    const auto rationals = [&](unsigned l) -> const std::vector<rational>& {
+        if (!st.built[l]) st.built[l] = &source.delays(first + l, st.scratch[l]);
+        return *st.built[l];
+    };
+    st.dom.rebind_lanes(
+        base, width, periods,
+        [&](unsigned l, fixed_point_domain& domain) {
+            return source.image(first + l, periods, domain);
+        },
+        rationals);
 
     if (cyclic) {
         st.ct.resize(width);
@@ -177,11 +189,11 @@ std::size_t run_lane_group(const scenario_engine& engine, const compiled_graph& 
             for (unsigned l = 0; l < width; ++l)
                 if (!st.dom.evicted(l)) st.lambda[l] = st.ct[l].cycle_time;
             st.slack.resize(width);
-            analyze_slack_lanes(base, st.dom, ptrs, st.lambda, st.ws, st.slack);
+            analyze_slack_lanes(base, st.dom, rationals, st.lambda, st.ws, st.slack);
         }
         for (unsigned l = 0; l < width; ++l) {
             if (st.dom.evicted(l)) {
-                out[l] = engine.evaluate(group[l].delay, with_slack, 1, solver, with_witness);
+                out[l] = engine.evaluate(rationals(l), with_slack, 1, solver, with_witness);
                 continue;
             }
             scenario_outcome o;
@@ -194,7 +206,7 @@ std::size_t run_lane_group(const scenario_engine& engine, const compiled_graph& 
                     if (sl.arc_critical[a]) o.critical_arcs.push_back(a);
             } else if (with_witness) {
                 o.critical_arcs = sorted_arcs_via_bitmap(st.ct[l].critical_cycle_arcs,
-                                                         st.mark, group[l].delay.size());
+                                                         st.mark, base.delay().size());
             }
             if (with_witness)
                 o.critical_cycle = canonical_cycle(std::move(st.ct[l].critical_cycle_arcs));
@@ -205,7 +217,7 @@ std::size_t run_lane_group(const scenario_engine& engine, const compiled_graph& 
         analyze_pert_lanes(base, st.dom, st.ws, st.pert);
         for (unsigned l = 0; l < width; ++l) {
             if (st.dom.evicted(l)) {
-                out[l] = engine.evaluate(group[l].delay, with_slack, 1, solver, with_witness);
+                out[l] = engine.evaluate(rationals(l), with_slack, 1, solver, with_witness);
                 continue;
             }
             scenario_outcome o;
@@ -221,6 +233,26 @@ std::size_t run_lane_group(const scenario_engine& engine, const compiled_graph& 
     return st.dom.evicted_count();
 }
 
+/// A materialized batch read by index: no image, no copies.
+class vector_source final : public scenario_source {
+public:
+    explicit vector_source(const std::vector<scenario>& scenarios) : scenarios_(&scenarios) {}
+
+    [[nodiscard]] std::size_t size() const override { return scenarios_->size(); }
+    [[nodiscard]] std::string label(std::size_t i) const override
+    {
+        return (*scenarios_)[i].label;
+    }
+    [[nodiscard]] const std::vector<rational>& delays(std::size_t i,
+                                                      std::vector<rational>&) const override
+    {
+        return (*scenarios_)[i].delay;
+    }
+
+private:
+    const std::vector<scenario>* scenarios_;
+};
+
 } // namespace
 
 thread_pool& scenario_engine::acquire_pool(unsigned max_threads) const
@@ -234,14 +266,21 @@ thread_pool& scenario_engine::acquire_pool(unsigned max_threads) const
 scenario_batch_result scenario_engine::run(const std::vector<scenario>& scenarios,
                                            const scenario_batch_options& options) const
 {
-    require(!scenarios.empty(), "scenario_engine::run: empty batch");
+    return run(vector_source(scenarios), options);
+}
+
+scenario_batch_result scenario_engine::run(const scenario_source& source,
+                                           const scenario_batch_options& options) const
+{
+    const std::size_t count = source.size();
+    require(count > 0, "scenario_engine::run: empty batch");
     require(options.lane_width == 0 || options.lane_width == 1 || options.lane_width == 2 ||
                 options.lane_width == 4 || options.lane_width == 8 ||
                 options.lane_width == 16,
             "scenario_engine::run: lane_width must be 0 (auto), 1, 2, 4, 8 or 16");
 
     scenario_batch_result out;
-    out.outcomes.resize(scenarios.size());
+    out.outcomes.resize(count);
 
     // The engine's long-lived pool; the lock also serializes concurrent
     // run() calls, which share the pool and the per-worker scratch state.
@@ -253,21 +292,29 @@ scenario_batch_result scenario_engine::run(const std::vector<scenario>& scenario
         cyclic ? static_cast<std::uint32_t>(base_->source().border_events().size()) : 1;
     const cycle_time_solver solver = resolve_batch_solver(*base_, options.solver);
     const unsigned width = options.lane_width == 0 ? 8 : options.lane_width;
-    const std::size_t groups = width > 1 ? scenarios.size() / width : 0;
+    const std::size_t groups = width > 1 ? count / width : 0;
+
+    // One scalar scenario: its rationals, built in the worker's scratch.
+    std::vector<std::vector<rational>> scratch(pool.thread_count());
+    const auto scalar = [&](std::size_t i, unsigned worker) {
+        out.outcomes[i] = evaluate(source.delays(i, scratch[worker]), options.with_slack, 1,
+                                   solver, options.with_witness);
+    };
 
     if (solver == cycle_time_solver::howard && cyclic) {
         // Static contiguous chunks, one warm chain per worker: scenario i
         // warm-starts from scenario i-1 of the same chunk, so the chain —
         // and every outcome — is deterministic for a given thread budget.
-        const std::size_t workers = std::min<std::size_t>(
-            resolve_thread_count(options.max_threads), scenarios.size());
-        pool.for_index(workers, [&](std::size_t w, unsigned) {
-            const std::size_t begin = w * scenarios.size() / workers;
-            const std::size_t end = (w + 1) * scenarios.size() / workers;
+        const std::size_t workers =
+            std::min<std::size_t>(resolve_thread_count(options.max_threads), count);
+        pool.for_index(workers, [&](std::size_t w, unsigned worker) {
+            const std::size_t begin = w * count / workers;
+            const std::size_t end = (w + 1) * count / workers;
             howard_chain chain(*base_);
             for (std::size_t i = begin; i < end; ++i)
-                out.outcomes[i] = evaluate_howard_warm(chain, scenarios[i].delay,
-                                                       options.with_slack, options.with_witness);
+                out.outcomes[i] =
+                    evaluate_howard_warm(chain, source.delays(i, scratch[worker]),
+                                         options.with_slack, options.with_witness);
         });
     } else if (groups > 0) {
         // Lane path: fixed-width groups (boundaries independent of the
@@ -275,25 +322,20 @@ scenario_batch_result scenario_engine::run(const std::vector<scenario>& scenario
         std::vector<lane_worker_state> states(pool.thread_count());
         std::vector<std::size_t> evictions(groups, 0);
         pool.for_index(groups, [&](std::size_t g, unsigned worker) {
-            evictions[g] = run_lane_group(*this, *base_, scenarios.data() + g * width, width,
-                                          cyclic, periods, options.with_slack,
-                                          options.with_witness, solver, states[worker],
+            evictions[g] = run_lane_group(*this, *base_, source, g * width, width, cyclic,
+                                          periods, options.with_slack, options.with_witness,
+                                          solver, states[worker],
                                           out.outcomes.data() + g * width);
         });
         for (const std::size_t e : evictions) out.lane_evictions += e;
         out.lane_groups = groups;
         out.lane_scenarios = groups * width - out.lane_evictions;
-        for (std::size_t i = groups * width; i < scenarios.size(); ++i)
-            out.outcomes[i] = evaluate(scenarios[i].delay, options.with_slack, 1, solver,
-                                       options.with_witness);
-        out.scalar_scenarios = scenarios.size() - groups * width + out.lane_evictions;
+        for (std::size_t i = groups * width; i < count; ++i) scalar(i, 0);
+        out.scalar_scenarios = count - groups * width + out.lane_evictions;
     } else {
         // Scalar path (forced, or batch smaller than one group).
-        pool.for_index(scenarios.size(), [&](std::size_t i, unsigned) {
-            out.outcomes[i] = evaluate(scenarios[i].delay, options.with_slack, 1, solver,
-                                       options.with_witness);
-        });
-        out.scalar_scenarios = scenarios.size();
+        pool.for_index(count, scalar);
+        out.scalar_scenarios = count;
     }
 
     // Serial reduction in scenario order — the batch result is independent
@@ -339,38 +381,144 @@ void reduce_scenario_outcomes(scenario_batch_result& out, std::size_t arc_count)
                      });
 }
 
-std::vector<scenario> corner_sweep_scenarios(const signal_graph& sg,
-                                             const corner_sweep_options& options)
+// --- sources -----------------------------------------------------------------
+
+bool scenario_source::image(std::size_t, std::uint32_t, fixed_point_domain&) const
+{
+    return false;
+}
+
+namespace {
+
+/// Materializes a source: every scenario's label and delays, generated on
+/// up to `max_threads` workers (0 = hardware concurrency, 1 = serial).
+std::vector<scenario> scenarios_of(const scenario_source& source, unsigned max_threads)
+{
+    std::vector<scenario> out(source.size());
+    parallel_for_index(out.size(), max_threads, [&](std::size_t i) {
+        out[i].label = source.label(i);
+        const std::vector<rational>& d = source.delays(i, out[i].delay);
+        if (&d != &out[i].delay) out[i].delay = d;
+    });
+    return out;
+}
+
+} // namespace
+
+void scenario_concat::add(const scenario_source& part)
+{
+    parts_.push_back(&part);
+    offsets_.push_back(offsets_.back() + part.size());
+}
+
+std::pair<const scenario_source*, std::size_t> scenario_concat::locate(std::size_t i) const
+{
+    // The last part starting at or before i (empty parts start where the
+    // next one does, so they are never chosen).
+    const auto p = static_cast<std::size_t>(
+        std::upper_bound(offsets_.begin(), offsets_.end(), i) - offsets_.begin() - 1);
+    return {parts_[p], i - offsets_[p]};
+}
+
+std::string scenario_concat::label(std::size_t i) const
+{
+    const auto [part, k] = locate(i);
+    return part->label(k);
+}
+
+const std::vector<rational>& scenario_concat::delays(std::size_t i,
+                                                     std::vector<rational>& scratch) const
+{
+    const auto [part, k] = locate(i);
+    return part->delays(k, scratch);
+}
+
+bool scenario_concat::image(std::size_t i, std::uint32_t periods,
+                            fixed_point_domain& out) const
+{
+    const auto [part, k] = locate(i);
+    return part->image(k, periods, out);
+}
+
+corner_sweep_source::corner_sweep_source(const signal_graph& sg,
+                                         const corner_sweep_options& options)
+    : sg_(&sg)
 {
     require(sg.finalized(), "corner_sweep_scenarios: graph must be finalized");
     require(!options.factor.is_negative() && options.factor < rational(1),
             "corner_sweep_scenarios: factor must lie in [0, 1)");
 
     const bool cyclic = !sg.repetitive_events().empty(); // acyclic: sweep every arc
+    nominal_.reserve(sg.arc_count());
+    for (arc_id a = 0; a < sg.arc_count(); ++a) nominal_.push_back(sg.arc(a).delay);
 
-    std::vector<rational> nominal;
-    nominal.reserve(sg.arc_count());
-    for (arc_id a = 0; a < sg.arc_count(); ++a) nominal.push_back(sg.arc(a).delay);
-
-    std::vector<scenario> out;
+    const rational factor[2] = {rational(1) - options.factor, rational(1) + options.factor};
+    for (int k = 0; k < 2; ++k) factor_label_[k] = ") x" + factor[k].str();
     for (arc_id a = 0; a < sg.arc_count(); ++a) {
         if (!sg.arc_live(a)) continue;
         const arc_info& arc = sg.arc(a);
         if (cyclic && !(sg.is_repetitive(arc.from) && sg.is_repetitive(arc.to)))
             continue;
-        const std::string name =
-            sg.event(arc.from).name + "->" + sg.event(arc.to).name;
-        for (const int sign : {-1, +1}) {
-            const rational factor =
-                rational(1) + (sign < 0 ? -options.factor : options.factor);
-            scenario s;
-            s.label = "arc " + std::to_string(a) + " (" + name + ") x" + factor.str();
-            s.delay = nominal;
-            s.delay[a] = nominal[a] * factor;
-            out.push_back(std::move(s));
-        }
+        for (const rational& f : factor) corner_.push_back({a, nominal_[a] * f, 0});
     }
-    return out;
+
+    // The int64 image: one scale for the nominal row and every corner cell.
+    // A corner's mass is the nominal mass plus its one cell's change, so
+    // the worst case adds the largest increase.
+    std::int64_t scale = 1;
+    for (const rational& d : nominal_)
+        if (scale != 0) scale = fixed_point_scale_lcm(scale, d.den());
+    for (const corner& c : corner_)
+        if (scale != 0) scale = fixed_point_scale_lcm(scale, c.delay.den());
+    if (scale == 0) return;
+    const auto scaled = [&](const rational& d) {
+        return static_cast<int128>(d.num()) * (scale / d.den());
+    };
+    int128 mass = 0;
+    for (const rational& d : nominal_) mass += scaled(d);
+    int128 increase = 0;
+    for (const corner& c : corner_)
+        increase = std::max(increase, scaled(c.delay) - scaled(nominal_[c.arc]));
+    period_limit_ = fixed_point_period_limit(mass + increase);
+    if (period_limit_ == 0) return; // every cell fits int64 below this mass
+    scale_ = scale;
+    nominal_scaled_.reserve(nominal_.size());
+    for (const rational& d : nominal_)
+        nominal_scaled_.push_back(static_cast<std::int64_t>(scaled(d)));
+    for (corner& c : corner_) c.scaled = static_cast<std::int64_t>(scaled(c.delay));
+}
+
+std::string corner_sweep_source::label(std::size_t i) const
+{
+    const arc_info& arc = sg_->arc(corner_[i].arc);
+    return "arc " + std::to_string(corner_[i].arc) + " (" + sg_->event(arc.from).name +
+           "->" + sg_->event(arc.to).name + factor_label_[i % 2];
+}
+
+const std::vector<rational>& corner_sweep_source::delays(std::size_t i,
+                                                         std::vector<rational>& scratch) const
+{
+    scratch.assign(nominal_.begin(), nominal_.end());
+    scratch[corner_[i].arc] = corner_[i].delay;
+    return scratch;
+}
+
+bool corner_sweep_source::image(std::size_t i, std::uint32_t periods,
+                                fixed_point_domain& out) const
+{
+    if (scale_ == 0 || periods >= period_limit_) return false;
+    out.scale = scale_;
+    out.period_limit = period_limit_;
+    out.negative = false;
+    out.scaled.assign(nominal_scaled_.begin(), nominal_scaled_.end());
+    out.scaled[corner_[i].arc] = corner_[i].scaled;
+    return true;
+}
+
+std::vector<scenario> corner_sweep_scenarios(const signal_graph& sg,
+                                             const corner_sweep_options& options)
+{
+    return scenarios_of(corner_sweep_source(sg, options), 1);
 }
 
 namespace {
@@ -512,72 +660,162 @@ rational mc_value(const mc_sampling& s, const monte_carlo_options& options,
     return r.lo + (r.hi - r.lo) * rational(u, options.resolution);
 }
 
-/// The shared generation loop: full batch storage up front, then
-/// per-worker generation — each worker fills disjoint slots from the
-/// sample's own PRNG stream.  Sample k of this call is global stream
-/// sample first_sample + k: the scenario is a pure function of
-/// (seed, global index), so round partitions and whole batches generate
-/// identical scenarios.  `value_at(a, u)` supplies the grid value — either
-/// computed (mc_value) or looked up (monte_carlo_table).
-template <class ValueAt>
-std::vector<scenario> mc_generate(const signal_graph& sg,
-                                  const monte_carlo_options& options,
-                                  ValueAt&& value_at)
+/// The table's int64 image (see monte_carlo_table), when it fits.  The
+/// scale is the LCM of the fast arcs' grid denominators and of every
+/// fallback cell's denominator — a multiple of every cell's denominator —
+/// and a fast arc's cells scale affinely: (base + step * u) * (scale / den).
+void build_table_image(monte_carlo_table& table, const mc_sampling& s)
 {
-    require(options.samples > 0, "monte_carlo_scenarios: samples must be positive");
-    const std::size_t K = options.model.sources.size();
-    std::vector<scenario> out(options.samples);
-    const bool parallel_worthwhile =
-        options.samples * sg.arc_count() >= (std::size_t{1} << 15);
-    parallel_for_index(
-        options.samples, parallel_worthwhile ? options.max_threads : 1, [&](std::size_t k) {
-            const std::size_t gk = options.first_sample + k;
-            prng rng(sample_stream_seed(options.seed, gk));
-            scenario& s = out[k];
-            s.label = "mc#" + std::to_string(gk) + " seed=" + std::to_string(options.seed);
+    const std::int64_t res = table.resolution;
+    std::int64_t scale = 1;
+    for (arc_id a = 0; a < table.arc_count && scale != 0; ++a) {
+        if (s.grids[a].fast) {
+            scale = fixed_point_scale_lcm(scale, s.grids[a].den);
+            continue;
+        }
+        for (std::int64_t u = 0; u <= res && scale != 0; ++u)
+            scale = fixed_point_scale_lcm(scale, table.at(a, u).den());
+    }
+    if (scale == 0) return;
 
-            // Global variation variables draw from their own stream (a
-            // distinct seed-space key), so adding sources never shifts the
-            // per-arc draws: zero sensitivities reproduce the independent
-            // batch bit for bit.
-            std::vector<rational> global;
-            if (K > 0) {
-                prng grng(sample_stream_seed(options.seed ^ 0xc2b2ae3d27d4eb4fULL, gk));
-                global.reserve(K);
-                for (std::size_t j = 0; j < K; ++j)
-                    global.push_back(rational(
-                        grng.uniform(-options.model.resolution, options.model.resolution),
-                        options.model.resolution));
-            }
-
-            s.delay.reserve(sg.arc_count());
-            for (arc_id a = 0; a < sg.arc_count(); ++a) {
-                const std::int64_t u = rng.uniform(0, options.resolution);
-                rational d = value_at(a, u);
-                if (K > 0) {
-                    const rational& nominal = sg.arc(a).delay;
-                    for (std::size_t j = 0; j < K; ++j) {
-                        const rational& sens = options.model.sources[j].sensitivity[a];
-                        if (!sens.is_zero()) d += nominal * sens * global[j];
-                    }
-                    d = max(rational(0), d);
-                }
-                s.delay.push_back(d);
-            }
-        });
-    return out;
+    // Worst-case mass: every arc at its heaviest cell (the top of an
+    // affine grid, whose step is non-negative).
+    const auto fallback_cell = [&](arc_id a, std::int64_t u) {
+        const rational& v = table.at(a, u);
+        return static_cast<int128>(v.num()) * (scale / v.den());
+    };
+    int128 mass = 0;
+    for (arc_id a = 0; a < table.arc_count; ++a) {
+        const mc_sampling::sample_grid& g = s.grids[a];
+        if (g.fast) {
+            mass += static_cast<int128>(g.base + g.step * res) * (scale / g.den);
+            continue;
+        }
+        int128 heaviest = 0;
+        for (std::int64_t u = 0; u <= res; ++u)
+            heaviest = std::max(heaviest, fallback_cell(a, u));
+        mass += heaviest;
+    }
+    const std::uint32_t period_limit = fixed_point_period_limit(mass);
+    if (period_limit == 0) return; // every cell fits int64 below this mass
+    table.scale = scale;
+    table.period_limit = period_limit;
+    table.scaled.reserve(table.values.size());
+    for (arc_id a = 0; a < table.arc_count; ++a) {
+        const mc_sampling::sample_grid& g = s.grids[a];
+        const std::int64_t q = g.fast ? scale / g.den : 0;
+        for (std::int64_t u = 0; u <= res; ++u)
+            table.scaled.push_back(g.fast ? (g.base + g.step * u) * q
+                                          : static_cast<std::int64_t>(fallback_cell(a, u)));
+    }
 }
 
 } // namespace
 
+struct monte_carlo_source::grid {
+    mc_sampling sampling;
+};
+
+monte_carlo_source::monte_carlo_source(const signal_graph& sg,
+                                       const monte_carlo_options& options,
+                                       std::shared_ptr<const monte_carlo_table> table)
+    : sg_(&sg), options_(options), table_(std::move(table))
+{
+    validate_mc_options(sg, options);
+    if (table_)
+        require(table_->resolution == options.resolution &&
+                    table_->arc_count == sg.arc_count(),
+                "monte_carlo_scenarios: table was built for a different "
+                "graph/spread/resolution");
+    else
+        grid_ = std::make_shared<const grid>(grid{resolve_mc_sampling(sg, options)});
+    require(options.samples > 0, "monte_carlo_scenarios: samples must be positive");
+}
+
+void monte_carlo_source::set_window(std::size_t first_sample, std::size_t samples)
+{
+    options_.first_sample = first_sample;
+    options_.samples = samples;
+}
+
+std::string monte_carlo_source::label(std::size_t i) const
+{
+    return "mc#" + std::to_string(options_.first_sample + i) +
+           " seed=" + std::to_string(options_.seed);
+}
+
+// Sample k of the window is global stream sample first_sample + k: the
+// scenario is a pure function of (seed, global index), so round
+// partitions and whole batches draw identical scenarios.  Its grid
+// positions come from the sample's own PRNG stream, one per arc in arc
+// order, on both paths below.
+
+const std::vector<rational>& monte_carlo_source::delays(std::size_t i,
+                                                        std::vector<rational>& scratch) const
+{
+    const std::size_t gk = options_.first_sample + i;
+    const std::size_t K = options_.model.sources.size();
+    prng rng(sample_stream_seed(options_.seed, gk));
+
+    // Global variation variables draw from their own stream (a distinct
+    // seed-space key), so adding sources never shifts the per-arc draws:
+    // zero sensitivities reproduce the independent batch bit for bit.
+    std::vector<rational> global;
+    if (K > 0) {
+        prng grng(sample_stream_seed(options_.seed ^ 0xc2b2ae3d27d4eb4fULL, gk));
+        global.reserve(K);
+        for (std::size_t j = 0; j < K; ++j)
+            global.push_back(rational(
+                grng.uniform(-options_.model.resolution, options_.model.resolution),
+                options_.model.resolution));
+    }
+
+    const uniform_range draw(0, options_.resolution);
+    scratch.clear();
+    scratch.reserve(sg_->arc_count());
+    for (arc_id a = 0; a < sg_->arc_count(); ++a) {
+        const std::int64_t u = draw(rng);
+        rational d = table_ ? table_->at(a, u) : mc_value(grid_->sampling, options_, a, u);
+        if (K > 0) {
+            const rational& nominal = sg_->arc(a).delay;
+            for (std::size_t j = 0; j < K; ++j) {
+                const rational& sens = options_.model.sources[j].sensitivity[a];
+                if (!sens.is_zero()) d += nominal * sens * global[j];
+            }
+            d = max(rational(0), d);
+        }
+        scratch.push_back(d);
+    }
+    return scratch;
+}
+
+bool monte_carlo_source::image(std::size_t i, std::uint32_t periods,
+                               fixed_point_domain& out) const
+{
+    if (!table_ || table_->scale == 0 || periods >= table_->period_limit ||
+        !options_.model.sources.empty())
+        return false;
+    out.scale = table_->scale;
+    out.period_limit = table_->period_limit;
+    out.negative = false;
+    const std::size_t arcs = table_->arc_count;
+    const auto stride = static_cast<std::size_t>(options_.resolution + 1);
+    out.scaled.resize(arcs);
+    std::int64_t* row = out.scaled.data();
+    const std::int64_t* cells = table_->scaled.data();
+    const uniform_range draw(0, options_.resolution);
+    prng rng(sample_stream_seed(options_.seed, options_.first_sample + i));
+    for (std::size_t a = 0; a < arcs; ++a, cells += stride) row[a] = cells[draw(rng)];
+    return true;
+}
+
 std::vector<scenario> monte_carlo_scenarios(const signal_graph& sg,
                                             const monte_carlo_options& options)
 {
-    validate_mc_options(sg, options);
-    const mc_sampling sampling = resolve_mc_sampling(sg, options);
-    return mc_generate(sg, options, [&](arc_id a, std::int64_t u) {
-        return mc_value(sampling, options, a, u);
-    });
+    const monte_carlo_source source(sg, options);
+    const bool parallel_worthwhile =
+        options.samples * sg.arc_count() >= (std::size_t{1} << 15);
+    return scenarios_of(source, parallel_worthwhile ? options.max_threads : 1);
 }
 
 bool monte_carlo_table_fits(const signal_graph& sg, const monte_carlo_options& options)
@@ -600,22 +838,29 @@ monte_carlo_table build_monte_carlo_table(const signal_graph& sg,
     for (arc_id a = 0; a < sg.arc_count(); ++a)
         for (std::int64_t u = 0; u <= options.resolution; ++u)
             table.values.push_back(mc_value(sampling, options, a, u));
+    build_table_image(table, sampling);
     return table;
+}
+
+std::shared_ptr<const monte_carlo_table> monte_carlo_run_table(
+    const signal_graph& sg, const monte_carlo_options& options, std::size_t samples)
+{
+    if (!monte_carlo_table_fits(sg, options) ||
+        samples <= static_cast<std::size_t>(options.resolution))
+        return nullptr;
+    return std::make_shared<const monte_carlo_table>(build_monte_carlo_table(sg, options));
 }
 
 std::vector<scenario> monte_carlo_scenarios(const signal_graph& sg,
                                             const monte_carlo_options& options,
                                             const monte_carlo_table& table)
 {
-    validate_mc_options(sg, options);
-    require(table.resolution == options.resolution &&
-                table.arc_count == sg.arc_count(),
-            "monte_carlo_scenarios: table was built for a different "
-            "graph/spread/resolution");
-    return mc_generate(sg, options,
-                       [&](arc_id a, std::int64_t u) -> const rational& {
-                           return table.at(a, u);
-                       });
+    // Non-owning: the caller's table outlives the source.
+    const monte_carlo_source source(
+        sg, options, std::shared_ptr<const monte_carlo_table>(std::shared_ptr<void>(), &table));
+    const bool parallel_worthwhile =
+        options.samples * sg.arc_count() >= (std::size_t{1} << 15);
+    return scenarios_of(source, parallel_worthwhile ? options.max_threads : 1);
 }
 
 } // namespace tsg

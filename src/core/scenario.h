@@ -22,15 +22,32 @@
 // slack then update all W lanes per arc in SIMD-friendly
 // structure-of-arrays loops.  A lane that cannot live in the int64 domain
 // is evicted to the exact rational path alone; batch tails run through the
-// scalar epilogue.  Every scenario source — corner sweeps included — takes
-// this one path.
+// scalar epilogue.
 //
-// Scenario sources:
-//   * corner_sweep_scenarios — per-arc +/- corners around the nominal
-//     delays (the classical "which edge matters" sweep);
-//   * monte_carlo_scenarios — reproducible uniform sampling from per-arc
-//     delay ranges on an exact rational grid, seeded explicitly.
-// Any caller-assembled vector<scenario> works the same way.
+// Scenario sources.  The engine reads a batch by index (scenario_source):
+// its count, each scenario's label and rational delays, and — when the
+// batch has one — its int64 image at a single common scale.  A lane-group
+// worker writes the lane rows straight from that image, so a generated
+// batch never exists as rationals and its delay storage does not grow with
+// the batch: each worker holds int64 rows for its W in-flight lanes only.
+// A scenario that leaves the lane path (a scalar run, a tail, a Howard
+// batch, an evicted lane, a slack lane that fails its overflow guard)
+// builds its own rationals, one at a time.
+//   * corner_sweep_source — per-arc +/- corners around the nominal delays
+//     (the classical "which edge matters" sweep); a row is the nominal
+//     row's image with one cell changed;
+//   * monte_carlo_source — reproducible uniform sampling from per-arc
+//     delay ranges on an exact rational grid, seeded explicitly; a row is
+//     the sampling table's image at the sample's own PRNG draws;
+//   * scenario_concat — several sources as one batch (the service's
+//     coalescer);
+//   * any caller-assembled vector<scenario> (run's vector overload), and
+//     corner_sweep_scenarios / monte_carlo_scenarios, which materialize
+//     the generated batches.
+// An image exists only when its scale and its worst-case delay mass fit
+// the fixed-point budget of the graph's border periods.  Then every
+// scenario's own domain fits too, so no lane would have been evicted and
+// the results equal the rational path's bit for bit.
 //
 // Solvers.  Each scenario's lambda comes from the solver selected by
 // scenario_batch_options::solver (see core/cycle_time.h).  Under the
@@ -50,6 +67,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compiled_graph.h"
@@ -100,6 +118,62 @@ private:
 struct scenario {
     std::string label;
     std::vector<rational> delay;
+};
+
+/// A scenario batch described by index instead of held in memory.  Every
+/// method is const and safe to call from several workers at once.
+class scenario_source {
+public:
+    virtual ~scenario_source() = default;
+
+protected:
+    scenario_source() = default;
+    scenario_source(const scenario_source&) = default;
+    scenario_source& operator=(const scenario_source&) = default;
+    scenario_source(scenario_source&&) = default;
+    scenario_source& operator=(scenario_source&&) = default;
+
+public:
+
+    [[nodiscard]] virtual std::size_t size() const = 0;
+    [[nodiscard]] virtual std::string label(std::size_t i) const = 0;
+
+    /// Scenario i's rational delays over every arc of the source graph:
+    /// either `scratch`, refilled (its storage reused), or storage the
+    /// source owns.
+    [[nodiscard]] virtual const std::vector<rational>& delays(
+        std::size_t i, std::vector<rational>& scratch) const = 0;
+
+    /// Scenario i's int64 image, when the batch has one that fits sweeps
+    /// of `periods` periods: fills `out` (the common scale, the period
+    /// limit of the batch's worst-case delay mass, and delay * scale over
+    /// every arc) and returns true.  False sends scenario i down the
+    /// rational path.
+    [[nodiscard]] virtual bool image(std::size_t i, std::uint32_t periods,
+                                     fixed_point_domain& out) const;
+};
+
+/// Several sources run as one batch, in order: scenario i is scenario
+/// i - offset of the part holding it.  Parts keep their own images (or
+/// none), so one lane group may mix scales.  The parts must outlive the
+/// concatenation.
+class scenario_concat final : public scenario_source {
+public:
+    void add(const scenario_source& part);
+
+    [[nodiscard]] std::size_t size() const override { return offsets_.back(); }
+    [[nodiscard]] std::string label(std::size_t i) const override;
+    [[nodiscard]] const std::vector<rational>& delays(
+        std::size_t i, std::vector<rational>& scratch) const override;
+    [[nodiscard]] bool image(std::size_t i, std::uint32_t periods,
+                             fixed_point_domain& out) const override;
+
+private:
+    /// The part holding scenario i, and i's index inside it.
+    [[nodiscard]] std::pair<const scenario_source*, std::size_t> locate(std::size_t i) const;
+
+    std::vector<const scenario_source*> parts_;
+    std::vector<std::size_t> offsets_{0}; ///< part p covers [offsets_[p], offsets_[p + 1])
 };
 
 /// Per-scenario analysis summary.  For cyclic graphs `cycle_time` is the
@@ -246,8 +320,14 @@ public:
         cycle_time_solver solver = cycle_time_solver::auto_select,
         bool with_witness = true) const;
 
-    /// Evaluates every scenario (in parallel) and reduces.  Throws on an
-    /// empty batch or a scenario whose delay vector has the wrong size.
+    /// Evaluates every scenario of `source` (in parallel) and reduces.
+    /// Throws on an empty batch or a scenario whose delay vector has the
+    /// wrong size.
+    [[nodiscard]] scenario_batch_result run(const scenario_source& source,
+                                            const scenario_batch_options& options = {}) const;
+
+    /// run() over a materialized batch (no int64 image: every lane packs
+    /// its rationals).
     [[nodiscard]] scenario_batch_result run(const std::vector<scenario>& scenarios,
                                             const scenario_batch_options& options = {}) const;
 
@@ -279,10 +359,37 @@ struct corner_sweep_options {
 /// Two scenarios (minus/plus corner) per swept arc, in arc order.  The
 /// sweep covers the arcs inside the repetitive core (the ones that can
 /// move the cycle time) and skips start-up arcs; acyclic graphs sweep
-/// every arc.  Each scenario carries a full m-entry delay vector (2m * m
-/// rationals for a whole-core sweep) — simple and engine-uniform, but on
-/// graphs beyond ~10^4 arcs consider batching the sweep in arc chunks to
-/// bound memory.
+/// every arc.  Holds O(m): the nominal row and each corner's one cell,
+/// as rationals and, when the sweep's common scale fits, as int64.
+class corner_sweep_source final : public scenario_source {
+public:
+    explicit corner_sweep_source(const signal_graph& sg,
+                                 const corner_sweep_options& options = {});
+
+    [[nodiscard]] std::size_t size() const override { return corner_.size(); }
+    [[nodiscard]] std::string label(std::size_t i) const override;
+    [[nodiscard]] const std::vector<rational>& delays(
+        std::size_t i, std::vector<rational>& scratch) const override;
+    [[nodiscard]] bool image(std::size_t i, std::uint32_t periods,
+                             fixed_point_domain& out) const override;
+
+private:
+    struct corner {
+        arc_id arc;
+        rational delay;     ///< nominal * factor
+        std::int64_t scaled; ///< delay * scale_ (when scale_ != 0)
+    };
+    const signal_graph* sg_;
+    std::vector<rational> nominal_;
+    std::string factor_label_[2]; ///< ") x<1 - factor>", ") x<1 + factor>"
+    std::vector<corner> corner_;  ///< scenario i; minus corner first per arc
+    std::int64_t scale_ = 0;      ///< the image's common scale; 0: no image
+    std::uint32_t period_limit_ = 0;
+    std::vector<std::int64_t> nominal_scaled_;
+};
+
+/// corner_sweep_source, materialized: each scenario carries a full m-entry
+/// delay vector (2m * m rationals for a whole-core sweep).
 [[nodiscard]] std::vector<scenario> corner_sweep_scenarios(
     const signal_graph& sg, const corner_sweep_options& options = {});
 
@@ -347,7 +454,8 @@ struct monte_carlo_options {
 };
 
 /// `samples` scenarios drawn independently per arc from the given ranges,
-/// optionally shifted by the correlated delay_model.
+/// optionally shifted by the correlated delay_model: monte_carlo_source,
+/// materialized.
 ///
 /// Sampling is lane-stable: each sample k derives its own PRNG stream from
 /// (seed, first_sample + k), so serial, multi-threaded and lane-batched
@@ -364,11 +472,21 @@ struct monte_carlo_options {
 /// same immutable snapshot — exactly the analysis service's workload, which
 /// caches one table per (design version, spread, resolution).
 ///
+/// The table also holds its cells' int64 image at one common scale (the
+/// LCM of the arcs' grid denominators, a multiple of every cell's), which
+/// lane rows are drawn from.  The image is absent (scale 0) when that scale
+/// passes the fixed-point cap or the worst-case delay mass (every arc at
+/// its largest cell) is too heavy for even one period.
+///
 /// Tables are immutable once built and safe to share across threads.
 struct monte_carlo_table {
     std::int64_t resolution = 0; ///< must match the sampling options
     std::size_t arc_count = 0;
     std::vector<rational> values; ///< arc-major: values[a*(resolution+1) + u]
+
+    std::int64_t scale = 0;          ///< the image's common scale; 0: no image
+    std::uint32_t period_limit = 0;  ///< fixed_point_period_limit(worst-case mass)
+    std::vector<std::int64_t> scaled; ///< values * scale, same layout
 
     [[nodiscard]] const rational& at(arc_id a, std::int64_t u) const noexcept
     {
@@ -396,6 +514,43 @@ struct monte_carlo_table {
 [[nodiscard]] std::vector<scenario> monte_carlo_scenarios(
     const signal_graph& sg, const monte_carlo_options& options,
     const monte_carlo_table& table);
+
+/// The table a run of `samples` draws through when its caller caches
+/// none: built when monte_carlo_table_fits and the run draws more samples
+/// than the grid has points (a smaller run would build more cells than it
+/// draws); null otherwise (computed draws).
+[[nodiscard]] std::shared_ptr<const monte_carlo_table> monte_carlo_run_table(
+    const signal_graph& sg, const monte_carlo_options& options, std::size_t samples);
+
+/// The monte_carlo_scenarios batch by index: scenario i is stream sample
+/// options.first_sample + i.  Draws through `table` when given (built from
+/// the same graph, ranges/spread and resolution), else through the
+/// computed grid.  Lane rows come from the table's int64 image when it
+/// exists and fits, and the options have no correlated model; every other
+/// case builds each scenario's rationals.  `sg` must outlive the source.
+class monte_carlo_source final : public scenario_source {
+public:
+    monte_carlo_source(const signal_graph& sg, const monte_carlo_options& options,
+                       std::shared_ptr<const monte_carlo_table> table = nullptr);
+
+    /// Moves the batch to stream samples [first_sample, first_sample +
+    /// samples): the statistics rounds walk one stream this way.
+    void set_window(std::size_t first_sample, std::size_t samples);
+
+    [[nodiscard]] std::size_t size() const override { return options_.samples; }
+    [[nodiscard]] std::string label(std::size_t i) const override;
+    [[nodiscard]] const std::vector<rational>& delays(
+        std::size_t i, std::vector<rational>& scratch) const override;
+    [[nodiscard]] bool image(std::size_t i, std::uint32_t periods,
+                             fixed_point_domain& out) const override;
+
+private:
+    struct grid;
+    const signal_graph* sg_;
+    monte_carlo_options options_;
+    std::shared_ptr<const monte_carlo_table> table_;
+    std::shared_ptr<const grid> grid_; ///< the computed grid, when no table
+};
 
 } // namespace tsg
 

@@ -45,10 +45,12 @@ struct analysis_service::design_version {
     rational nominal; ///< lambda/makespan at the snapshot's own delays
 
     /// Monte Carlo sampling tables, keyed by the only request knobs that
-    /// shape the grid (spread, resolution).  Small serving requests
-    /// resample the same immutable snapshot over and over; sharing the
-    /// materialized grid turns per-delay rational arithmetic into indexed
-    /// copies (core/scenario.h: monte_carlo_table).
+    /// shape the grid (spread, resolution).  Serving requests resample the
+    /// same immutable snapshot over and over; sharing the materialized
+    /// grid turns per-delay rational arithmetic into indexed copies, and
+    /// its int64 image lets fixed-size `montecarlo`, adaptive `montecarlo`
+    /// and `criticality` draw lane rows straight from it
+    /// (core/scenario.h: monte_carlo_table, monte_carlo_source).
     std::mutex mc_mutex;
     std::map<std::pair<std::string, std::int64_t>,
              std::shared_ptr<const monte_carlo_table>>
@@ -237,39 +239,36 @@ rational analysis_service::nominal_of(design_version& version,
     return version.nominal;
 }
 
-std::vector<scenario> analysis_service::scenarios_for(design_version& version,
-                                                      const analysis_request& request)
+std::shared_ptr<const monte_carlo_table> analysis_service::table_for(
+    design_version& version, const analysis_request& request)
 {
-    // Non-adaptive Monte Carlo — the bulk of serving traffic — samples a
-    // fixed per-arc grid of the immutable snapshot, so the grid values are
-    // materialized once per (version, spread, resolution) and shared by
-    // every subsequent request.  Oversized grids (huge resolution or arc
-    // count) skip the cache and generate directly.
-    if (request.kind == request_kind::montecarlo && !request.options.adaptive) {
-        const monte_carlo_options mo = request.options.to_monte_carlo_options();
-        if (monte_carlo_table_fits(*version.graph, mo)) {
-            const auto key = std::make_pair(mo.spread.str(), mo.resolution);
-            std::shared_ptr<const monte_carlo_table> table;
-            {
-                std::lock_guard<std::mutex> lk(version.mc_mutex);
-                const auto it = version.mc_tables.find(key);
-                if (it != version.mc_tables.end()) table = it->second;
-            }
-            if (!table) {
-                auto built = std::make_shared<const monte_carlo_table>(
-                    build_monte_carlo_table(*version.graph, mo));
-                std::lock_guard<std::mutex> lk(version.mc_mutex);
-                // A concurrent builder may have won the race; keep its
-                // table.  The map stays tiny (one entry per distinct
-                // client grid), but cap it against pathological clients.
-                if (version.mc_tables.size() >= 16) version.mc_tables.clear();
-                table = version.mc_tables.emplace(key, std::move(built))
-                            .first->second;
-            }
-            return monte_carlo_scenarios(*version.graph, mo, *table);
-        }
+    // Oversized grids (huge resolution or arc count) skip the cache; their
+    // runs build or compute their own.
+    const monte_carlo_options mo = request.options.to_monte_carlo_options();
+    if (!monte_carlo_table_fits(*version.graph, mo)) return nullptr;
+    const auto key = std::make_pair(mo.spread.str(), mo.resolution);
+    {
+        std::lock_guard<std::mutex> lk(version.mc_mutex);
+        const auto it = version.mc_tables.find(key);
+        if (it != version.mc_tables.end()) return it->second;
     }
-    return request_scenarios(request, *version.graph);
+    auto built =
+        std::make_shared<const monte_carlo_table>(build_monte_carlo_table(*version.graph, mo));
+    std::lock_guard<std::mutex> lk(version.mc_mutex);
+    // A concurrent builder may have won the race; keep its table.  The map
+    // stays tiny (one entry per distinct client grid), but cap it against
+    // pathological clients.
+    if (version.mc_tables.size() >= 16) version.mc_tables.clear();
+    return version.mc_tables.emplace(key, std::move(built)).first->second;
+}
+
+std::unique_ptr<scenario_source> analysis_service::scenarios_for(
+    design_version& version, const analysis_request& request)
+{
+    return request_source(request, *version.graph,
+                          request.kind == request_kind::montecarlo
+                              ? table_for(version, request)
+                              : nullptr);
 }
 
 // --- submission --------------------------------------------------------------
@@ -534,12 +533,17 @@ void analysis_service::handle(pending job)
         default: {
             // analyze, criticality, adaptive montecarlo, optimize and
             // report_topk run solo — their work does not decompose into
-            // mergeable scenarios.
+            // mergeable scenarios.  The statistics kinds draw through the
+            // version's cached table.
             const std::shared_ptr<design_version> version = resolve(job.request.design);
             response.design_version = version->version;
-            response.payload =
-                execute_analysis_payload(job.request, *version->graph, *version->compiled,
-                                         *version->engine, job.deadline);
+            const bool statistics = job.request.kind == request_kind::criticality ||
+                                    job.request.kind == request_kind::montecarlo;
+            response.payload = execute_analysis_payload(
+                job.request, *version->graph, *version->compiled, *version->engine,
+                job.deadline, statistics ? table_for(*version, job.request) : nullptr,
+                &response.scenarios);
+            scenarios_.fetch_add(response.scenarios, std::memory_order_relaxed);
             break;
         }
         }
@@ -583,7 +587,7 @@ void analysis_service::handle_batch(pending first)
 {
     std::shared_ptr<design_version> version;
     std::vector<pending> jobs;
-    std::vector<std::vector<scenario>> parts;
+    std::vector<std::unique_ptr<scenario_source>> parts;
     try {
         version = resolve(first.request.design);
         parts.push_back(scenarios_for(*version, first.request));
@@ -596,7 +600,7 @@ void analysis_service::handle_batch(pending first)
     // Admit queued partners: same kind, same design reference, identical
     // engine knobs — served against this worker's resolved snapshot (the
     // merged batch linearizes before any concurrently committed edit).
-    std::size_t total = parts[0].size();
+    std::size_t total = parts[0]->size();
     if (options_.coalesce && total > 0 && total < max_coalesce_scenarios) {
         std::vector<pending> partners;
         {
@@ -616,7 +620,7 @@ void analysis_service::handle_batch(pending first)
                 // head request.
                 const std::size_t predicted = cand.kind == request_kind::montecarlo
                                                   ? cand.options.samples
-                                                  : parts[0].size();
+                                                  : parts[0]->size();
                 if (total + predicted > max_coalesce_scenarios) {
                     ++it;
                     continue;
@@ -640,27 +644,27 @@ void analysis_service::handle_batch(pending first)
         }
     }
 
-    // Merge, dropping requests with nothing to evaluate (their solo run
-    // would fail the same way).
+    // Merge the requests' sources as consecutive spans of one batch,
+    // dropping requests with nothing to evaluate (their solo run would fail
+    // the same way).  No delay vector is copied.
     struct span {
         std::size_t offset = 0;
         std::size_t count = 0;
     };
-    std::vector<scenario> merged;
-    merged.reserve(total);
+    scenario_concat merged;
     std::vector<pending> live;
-    std::vector<std::vector<scenario>> live_parts;
+    std::vector<std::unique_ptr<scenario_source>> live_parts;
     std::vector<span> spans;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (parts[i].empty()) {
+        if (parts[i]->size() == 0) {
             finish(jobs[i],
                    respond_error(jobs[i],
                                  "invalid_model: no scenarios to evaluate (no "
                                  "perturbable arcs)"));
             continue;
         }
-        spans.push_back({merged.size(), parts[i].size()});
-        merged.insert(merged.end(), parts[i].begin(), parts[i].end());
+        spans.push_back({merged.size(), parts[i]->size()});
+        merged.add(*parts[i]);
         live.push_back(std::move(jobs[i]));
         live_parts.push_back(std::move(parts[i]));
     }
@@ -696,7 +700,7 @@ void analysis_service::handle_batch(pending first)
             copy_engine_accounting(batch, slice);
             reduce_scenario_outcomes(slice, version->graph->arc_count());
             response.payload = batch_payload_json(live[i].request, *version->graph,
-                                                  nominal, live_parts[i], slice);
+                                                  nominal, *live_parts[i], slice);
             response.ok = true;
             response.design_version = version->version;
             response.scenarios = spans[i].count;

@@ -123,7 +123,7 @@ struct design_traffic {
     std::uint64_t requests = 0;   ///< requests naming this design, shed included
     std::uint64_t failures = 0;   ///< of those, responses with ok == false
     std::uint64_t shed = 0;       ///< of those, shed by admission control
-    std::uint64_t scenarios = 0;  ///< scenarios evaluated for this design
+    std::uint64_t scenarios = 0;  ///< scenarios and samples evaluated for this design
     std::uint64_t rate_limited = 0;      ///< shed by the per-design quota
     std::uint64_t deadline_expired = 0;  ///< answered "deadline_exceeded"
 };
@@ -140,7 +140,7 @@ struct service_metrics {
     std::uint64_t engine_batches = 0;     ///< scenario_engine::run invocations
     std::uint64_t batch_requests = 0;     ///< batch-kind requests served
     std::uint64_t coalesced_requests = 0; ///< of those, served from merged runs
-    std::uint64_t scenarios = 0;          ///< scenarios evaluated in batches
+    std::uint64_t scenarios = 0;          ///< scenarios and statistics samples evaluated
     std::uint64_t edits_committed = 0;    ///< edit requests that committed a version
     std::uint64_t versions_evicted = 0;
 
@@ -283,8 +283,13 @@ private:
                                  std::shared_ptr<const signal_graph> graph);
     [[nodiscard]] rational nominal_of(design_version& version,
                                       const request_options& options);
-    [[nodiscard]] std::vector<scenario> scenarios_for(design_version& version,
-                                                      const analysis_request& request);
+    /// The version's cached sampling table of `request`'s Monte Carlo grid
+    /// (built on first use); null when the grid is too large to cache.
+    [[nodiscard]] std::shared_ptr<const monte_carlo_table> table_for(
+        design_version& version, const analysis_request& request);
+    /// The batch of a coalescable request, drawn through table_for.
+    [[nodiscard]] std::unique_ptr<scenario_source> scenarios_for(
+        design_version& version, const analysis_request& request);
 
     [[nodiscard]] std::string edit_payload(pending& job, std::uint64_t& out_version);
 

@@ -221,10 +221,10 @@ slack_result analyze_slack(const signal_graph& sg)
 namespace {
 
 template <unsigned W>
-void analyze_slack_lanes_impl(const compiled_graph& cg, const lane_domain& dom,
-                              std::span<const std::vector<rational>* const> lane_delay,
-                              std::span<const rational> cycle_time, lane_workspace& ws,
-                              std::span<slack_result> out)
+void analyze_slack_lanes_impl(
+    const compiled_graph& cg, const lane_domain& dom,
+    const std::function<const std::vector<rational>&(unsigned)>& lane_delay,
+    std::span<const rational> cycle_time, lane_workspace& ws, std::span<slack_result> out)
 {
     const core_view core = cg.core();
     const std::size_t n = core.graph.node_count();
@@ -326,7 +326,7 @@ void analyze_slack_lanes_impl(const compiled_graph& cg, const lane_domain& dom,
                 slack_by_core_arc[a] = rational(num, s[l]);
             }
         } else {
-            const std::vector<rational>& delay = *lane_delay[l];
+            const std::vector<rational>& delay = lane_delay(l);
             rational_core_slack(
                 core, [&](arc_id a) { return delay[core.arc_original[a]]; }, cycle_time[l],
                 slack_by_core_arc, potential_by_node);
@@ -337,13 +337,12 @@ void analyze_slack_lanes_impl(const compiled_graph& cg, const lane_domain& dom,
 
 } // namespace
 
-void analyze_slack_lanes(const compiled_graph& cg, const lane_domain& dom,
-                         std::span<const std::vector<rational>* const> lane_delay,
-                         std::span<const rational> cycle_time, lane_workspace& ws,
-                         std::span<slack_result> out)
+void analyze_slack_lanes(
+    const compiled_graph& cg, const lane_domain& dom,
+    const std::function<const std::vector<rational>&(unsigned)>& lane_delay,
+    std::span<const rational> cycle_time, lane_workspace& ws, std::span<slack_result> out)
 {
-    require(dom.width() == out.size() && dom.width() == lane_delay.size() &&
-                dom.width() == cycle_time.size(),
+    require(dom.width() == out.size() && dom.width() == cycle_time.size(),
             "analyze_slack_lanes: lane count mismatch");
     switch (dom.width()) {
     case 2: return analyze_slack_lanes_impl<2>(cg, dom, lane_delay, cycle_time, ws, out);

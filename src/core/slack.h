@@ -23,6 +23,7 @@
 #ifndef TSG_CORE_SLACK_H
 #define TSG_CORE_SLACK_H
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -82,16 +83,17 @@ struct lane_workspace;
 /// passes continue until every lane converges (extra passes on an
 /// already-converged lane relax nothing, so results match the scalar
 /// early-exit bit for bit).  Per-lane overflow checks on the reduced
-/// weights (and lanes `dom` evicted) fall back to the exact rational
-/// Bellman-Ford for that lane alone, using `lane_delay[l]`.
+/// weights fall back to the exact rational Bellman-Ford for that lane
+/// alone, using `lane_delay(l)` — lane l's full-arc rational delays, asked
+/// for only by such a lane.  Lanes `dom` evicted are skipped.
 ///
 /// `cycle_time[l]` must be lane l's exact cycle time.  out[l] receives the
 /// same slack_result analyze_slack would produce for lane l's scalar
 /// rebind.
-void analyze_slack_lanes(const compiled_graph& cg, const lane_domain& dom,
-                         std::span<const std::vector<rational>* const> lane_delay,
-                         std::span<const rational> cycle_time, lane_workspace& ws,
-                         std::span<slack_result> out);
+void analyze_slack_lanes(
+    const compiled_graph& cg, const lane_domain& dom,
+    const std::function<const std::vector<rational>&(unsigned)>& lane_delay,
+    std::span<const rational> cycle_time, lane_workspace& ws, std::span<slack_result> out);
 
 } // namespace tsg
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <unordered_map>
 
 namespace tsg {
@@ -160,39 +159,6 @@ void stats_accumulator::accumulate(const scenario_batch_result& batch)
     for (const scenario_outcome& o : batch.outcomes) add(o);
 }
 
-void stats_accumulator::merge(const stats_accumulator& tail)
-{
-    require(count_ % block_size == 0 && tail_.n == 0,
-            "stats_accumulator::merge: left side must end on a block boundary");
-    require(hist_.size() == tail.hist_.size() && lo_ == tail.lo_ && hi_ == tail.hi_ &&
-                crit_.size() == tail.crit_.size() && group_names_ == tail.group_names_ &&
-                track_yield_ == tail.track_yield_ &&
-                (!track_yield_ || yield_target_ == tail.yield_target_),
-            "stats_accumulator::merge: mismatched accumulator configurations");
-
-    blocks_.insert(blocks_.end(), tail.blocks_.begin(), tail.blocks_.end());
-    tail_ = tail.tail_;
-
-    if (tail.count_ > 0) {
-        if (count_ == 0 || tail.min_ < min_) {
-            min_ = tail.min_;
-            min_index_ = count_ + tail.min_index_;
-        }
-        if (count_ == 0 || max_ < tail.max_) {
-            max_ = tail.max_;
-            max_index_ = count_ + tail.max_index_;
-        }
-    }
-    for (std::size_t b = 0; b < hist_.size(); ++b) hist_[b] += tail.hist_[b];
-    underflow_ += tail.underflow_;
-    overflow_ += tail.overflow_;
-    yield_count_ += tail.yield_count_;
-    for (std::size_t a = 0; a < crit_.size(); ++a) crit_[a] += tail.crit_[a];
-    for (std::size_t g = 0; g < group_crit_.size(); ++g) group_crit_[g] += tail.group_crit_[g];
-    fallback_ += tail.fallback_;
-    count_ += tail.count_;
-}
-
 stats_accumulator::moment_block stats_accumulator::folded() const
 {
     moment_block total;
@@ -308,29 +274,24 @@ void check_deadline(std::chrono::steady_clock::time_point deadline, std::size_t 
 
 std::size_t monte_carlo_rounds(
     const scenario_engine& engine, const signal_graph& sg, const monte_carlo_options& mc,
-    std::size_t samples, std::size_t round_samples, const scenario_batch_options& batch,
+    std::shared_ptr<const monte_carlo_table> table, std::size_t samples,
+    std::size_t round_samples, const scenario_batch_options& batch,
     std::chrono::steady_clock::time_point deadline,
     const std::function<bool(const scenario_batch_result&, std::size_t first)>& fold)
 {
-    // A run of no more samples than the grid has points would build more
-    // table values than it draws.
-    std::optional<monte_carlo_table> table;
-    if (monte_carlo_table_fits(sg, mc) && samples > static_cast<std::size_t>(mc.resolution))
-        table = build_monte_carlo_table(sg, mc);
-
+    if (samples == 0) return 0;
+    if (!table) table = monte_carlo_run_table(sg, mc, samples);
     const std::size_t round = round_samples > 0 ? round_samples : 256;
-    monte_carlo_options round_mc = mc;
+    monte_carlo_options window = mc;
+    window.samples = std::min(round, samples);
+    monte_carlo_source source(sg, window, std::move(table));
     std::size_t have = 0;
     while (have < samples) {
         check_deadline(deadline, have, "samples");
-        round_mc.first_sample = mc.first_sample + have;
-        round_mc.samples = std::min(round, samples - have);
-        const scenario_batch_result result =
-            engine.run(table ? monte_carlo_scenarios(sg, round_mc, *table)
-                             : monte_carlo_scenarios(sg, round_mc),
-                       batch);
+        source.set_window(mc.first_sample + have, std::min(round, samples - have));
+        const scenario_batch_result result = engine.run(source, batch);
         const std::size_t first = have;
-        have += round_mc.samples;
+        have += source.size();
         if (!fold(result, first)) break;
     }
     return have;
@@ -394,7 +355,7 @@ stats_run_result run_monte_carlo(const scenario_engine& engine, const signal_gra
     };
 
     monte_carlo_rounds(
-        engine, sg, mc, cap, options.round_samples, bopts, options.deadline,
+        engine, sg, mc, options.table, cap, options.round_samples, bopts, options.deadline,
         [&](const scenario_batch_result& batch, std::size_t) {
             out.stats.accumulate(batch);
             ++out.rounds;

@@ -23,22 +23,22 @@
 //     cap is hit.
 //
 // Determinism.  Monte Carlo sample k depends only on (seed, k) — never on
-// the round partition, the thread layout, the lane width or a sampling
-// table (see monte_carlo_scenarios) — and the accumulator folds samples
-// serially in index order through fixed-size *blocks*: each block of
-// block_size consecutive samples is reduced by Welford steps, and
-// completed blocks combine left-to-right by Chan's parallel update.
-// Block boundaries sit at fixed absolute sample indices, so any partition
-// of the sample stream — one big batch, adaptive rounds, block-aligned
-// merges — runs the identical sequence of floating-point operations and
-// produces bit-identical statistics.  In particular an adaptive run is a
+// the round partition, the thread layout, the lane width, a sampling
+// table or its int64 image (see monte_carlo_source) — and the accumulator
+// folds samples serially in index order through fixed-size *blocks*: each
+// block of block_size consecutive samples is reduced by Welford steps, and
+// completed blocks combine left-to-right by Chan's parallel update.  Block
+// boundaries sit at fixed absolute sample indices, so any partition of the
+// sample stream — one big batch or adaptive rounds — runs the identical
+// sequence of floating-point operations and produces bit-identical
+// statistics.  In particular an adaptive run is a
 // bit-exact prefix replay of the fixed run with the same seed (asserted by
 // tests/test_stats.cpp and bench/bench_stats.cpp).
 //
 // Everything except the moments stays exact or integral: min/max are
 // rationals, histogram/criticality tallies are integers binned by exact
-// comparisons against precomputed edges, so those merge deterministically
-// by construction; only mean/variance need the block discipline.
+// comparisons against precomputed edges, so those are deterministic by
+// construction; only mean/variance need the block discipline.
 #ifndef TSG_CORE_STATS_H
 #define TSG_CORE_STATS_H
 
@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -116,6 +117,11 @@ struct stats_options {
     unsigned lane_width = 0;
     cycle_time_solver solver = cycle_time_solver::auto_select;
 
+    /// The sampling table of the run's grid, when the caller caches one
+    /// (the analysis service keeps one per design version and grid).  Null
+    /// builds one per run under monte_carlo_run_table's rule.
+    std::shared_ptr<const monte_carlo_table> table;
+
     /// Optional wall-clock deadline for streaming runs.  The epoch default
     /// means "none".  Checked between rounds (never inside one, so results
     /// that complete stay bit-identical); a run that passes it throws a
@@ -139,7 +145,7 @@ struct arc_group_map {
 
 /// Streaming statistics over scenario outcomes, folded in sample-index
 /// order.  See the header comment for the block discipline that makes
-/// accumulation bit-deterministic across lanes, rounds and merges.
+/// accumulation bit-deterministic across lanes and rounds.
 class stats_accumulator {
 public:
     /// Samples per moments block.  Fixed so block boundaries (absolute
@@ -163,13 +169,6 @@ public:
 
     /// Folds a whole batch, outcomes in order: exactly an add() loop.
     void accumulate(const scenario_batch_result& batch);
-
-    /// Appends `tail`, which must have been accumulated from the samples
-    /// directly following this accumulator's (tail's sample 0 == this
-    /// count()).  Requires count() to be block-aligned and the two
-    /// configurations to match.  Bit-identical to having add()ed tail's
-    /// samples here directly.
-    void merge(const stats_accumulator& tail);
 
     // --- moments -----------------------------------------------------------
 
@@ -331,13 +330,15 @@ void check_deadline(std::chrono::steady_clock::time_point deadline, std::size_t 
 /// top-K: evaluates stream samples [mc.first_sample, mc.first_sample +
 /// samples) in rounds of at most `round_samples` (0: 256, a multiple of
 /// every lane width), checking `deadline` before each, and hands each
-/// round and its run offset to `fold`, which returns whether to go on.  A
-/// run of more samples than its grid has points draws through one table
-/// when monte_carlo_table_fits, else computes each delay; the rounds are
-/// bit-identical either way.  Returns the samples evaluated.
+/// round and its run offset to `fold`, which returns whether to go on.
+/// Every round runs one window of a monte_carlo_source, drawn through
+/// `table` (which must match mc's grid) or, when null, the table of
+/// monte_carlo_run_table's rule; the rounds are bit-identical either way.
+/// Returns the samples evaluated.
 std::size_t monte_carlo_rounds(
     const scenario_engine& engine, const signal_graph& sg, const monte_carlo_options& mc,
-    std::size_t samples, std::size_t round_samples, const scenario_batch_options& batch,
+    std::shared_ptr<const monte_carlo_table> table, std::size_t samples,
+    std::size_t round_samples, const scenario_batch_options& batch,
     std::chrono::steady_clock::time_point deadline,
     const std::function<bool(const scenario_batch_result&, std::size_t first)>& fold);
 

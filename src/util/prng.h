@@ -37,13 +37,15 @@ public:
     std::int64_t uniform(std::int64_t lo, std::int64_t hi)
     {
         require(lo <= hi, "prng::uniform: empty range");
-        const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+        // Unsigned arithmetic: hi - lo and lo + offset may not fit int64.
+        const std::uint64_t span =
+            static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
         if (span == 0) return static_cast<std::int64_t>(next()); // full 64-bit range
         // Rejection sampling to remove modulo bias.
         const std::uint64_t limit = UINT64_MAX - UINT64_MAX % span;
         std::uint64_t v = next();
         while (v >= limit) v = next();
-        return lo + static_cast<std::int64_t>(v % span);
+        return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + v % span);
     }
 
     /// Uniform double in [0, 1).
@@ -89,6 +91,44 @@ private:
 
     std::uint64_t s0_;
     std::uint64_t s1_;
+};
+
+/// prng::uniform(lo, hi) with the range's two divisions done once: the
+/// same values from the same stream, for loops that draw many values from
+/// one range (the Monte Carlo grid draws).  The per-draw remainder is
+/// Lemire's direct computation with a 128-bit reciprocal, exact for every
+/// 64-bit value and divisor.
+class uniform_range {
+public:
+    uniform_range(std::int64_t lo, std::int64_t hi)
+        : lo_(static_cast<std::uint64_t>(lo)),
+          span_(static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1)
+    {
+        require(lo <= hi, "prng::uniform: empty range");
+        if (span_ == 0) return; // full 64-bit range: no reduction
+        limit_ = UINT64_MAX - UINT64_MAX % span_;
+        reciprocal_ = ~static_cast<uint128>(0) / span_ + 1;
+    }
+
+    std::int64_t operator()(prng& rng) const noexcept
+    {
+        if (span_ == 0) return static_cast<std::int64_t>(rng.next());
+        std::uint64_t v = rng.next();
+        while (v >= limit_) v = rng.next();
+        // v % span_ == high 64 bits of (frac * span_), frac = reciprocal_ * v mod 2^128.
+        const uint128 frac = reciprocal_ * v;
+        const uint128 low = (static_cast<uint128>(static_cast<std::uint64_t>(frac)) * span_) >> 64;
+        const uint128 high = (frac >> 64) * span_;
+        return static_cast<std::int64_t>(lo_ + static_cast<std::uint64_t>((low + high) >> 64));
+    }
+
+private:
+    __extension__ typedef unsigned __int128 uint128;
+
+    std::uint64_t lo_;
+    std::uint64_t span_;
+    std::uint64_t limit_ = 0;
+    uint128 reciprocal_ = 0;
 };
 
 } // namespace tsg

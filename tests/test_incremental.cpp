@@ -444,8 +444,9 @@ TEST(Incremental, LaneWorkspaceRepacksAfterInPlaceStructuralEdit)
         const auto periods =
             static_cast<std::uint32_t>(eng.graph().border_events().size());
         const std::vector<rational>& delay = eng.compiled().delay();
-        const std::vector<const std::vector<rational>*> lanes(2, &delay);
-        dom.rebind_lanes(eng.compiled(), lanes, periods);
+        dom.rebind_lanes(
+            eng.compiled(), 2, periods, [](unsigned, fixed_point_domain&) { return false; },
+            [&](unsigned) -> const std::vector<rational>& { return delay; });
         analyze_cycle_time_lanes(eng.compiled(), dom, periods, ws, out);
     };
 

@@ -235,6 +235,45 @@ TEST(Scenario, MonteCarloTableMatchesComputedSamplingOnEveryGridShape)
     EXPECT_THROW((void)monte_carlo_scenarios(sg, mc, wrong), error);
 }
 
+TEST(Scenario, MonteCarloTableImageScalesEveryCellExactly)
+{
+    const signal_graph sg = random_fractional_graph(7, 16);
+    const auto expect_exact_image = [&](const monte_carlo_options& mc) {
+        const monte_carlo_table table = build_monte_carlo_table(sg, mc);
+        ASSERT_NE(table.scale, 0);
+        ASSERT_EQ(table.scaled.size(), table.values.size());
+        const auto stride = static_cast<std::size_t>(table.resolution + 1);
+        int128 mass = 0;
+        for (arc_id a = 0; a < table.arc_count; ++a) {
+            std::int64_t heaviest = 0;
+            for (std::size_t u = 0; u < stride; ++u) {
+                const std::size_t cell = a * stride + u;
+                EXPECT_EQ(table.scale % table.values[cell].den(), 0) << cell;
+                EXPECT_EQ(rational(table.scaled[cell], table.scale), table.values[cell]) << cell;
+                heaviest = std::max(heaviest, table.scaled[cell]);
+            }
+            mass += heaviest;
+        }
+        EXPECT_EQ(table.period_limit, fixed_point_period_limit(mass));
+    };
+    monte_carlo_options mc;
+    expect_exact_image(mc);
+    mc.spread = rational(2, 7);
+    mc.resolution = 9;
+    expect_exact_image(mc);
+    for (arc_id a = 0; a < sg.arc_count(); ++a)
+        mc.ranges.push_back({sg.arc(a).delay / 3, sg.arc(a).delay + rational(1, 5)});
+    expect_exact_image(mc);
+
+    // A 2^40 denominator passes the scale cap: no image, rationals intact.
+    const rational lo(1, std::int64_t{1} << 40);
+    mc.ranges[0] = {lo, lo + rational(1, std::int64_t{1} << 30)};
+    const monte_carlo_table fallback = build_monte_carlo_table(sg, mc);
+    EXPECT_EQ(fallback.scale, 0);
+    EXPECT_TRUE(fallback.scaled.empty());
+    EXPECT_EQ(fallback.values.size(), sg.arc_count() * 10);
+}
+
 TEST(Scenario, ParallelBatchMatchesSerialBatch)
 {
     const signal_graph sg = random_fractional_graph(11, 32);

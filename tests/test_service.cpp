@@ -25,6 +25,7 @@
 #include <streambuf>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/api.h"
@@ -232,6 +233,107 @@ TEST(Service, CoalescedBatchesMatchSoloBitForBit)
     EXPECT_GT(m.coalesced_requests, 0u);
     EXPECT_LT(m.engine_batches, requests.size()); // merging actually happened
     EXPECT_GT(m.coalescing_efficiency, 1.0);
+}
+
+TEST(Service, CoalescedLaneGroupMixesScalesAndTheRationalPath)
+{
+    const signal_graph sg = c_oscillator_sg();
+    service_options options;
+    options.workers = 1;
+    options.coalesce = true;
+    analysis_service service(options);
+    service.register_design("chip", sg);
+
+    // Three requests filling one lane group of 8: two grids whose int64
+    // images differ in scale, and one too fine to tabulate, which packs
+    // its lanes from rationals.
+    std::vector<analysis_request> requests;
+    for (const auto& [spread, resolution, samples] :
+         {std::tuple{rational(1, 10), std::int64_t{16}, std::size_t{3}},
+          std::tuple{rational(1, 7), std::int64_t{16}, std::size_t{3}},
+          std::tuple{rational(1, 10), std::int64_t{5000}, std::size_t{2}}}) {
+        analysis_request r =
+            make_request(request_kind::montecarlo, "mc-" + std::to_string(requests.size()));
+        r.options.spread = spread;
+        r.options.resolution = resolution;
+        r.options.samples = samples;
+        r.options.seed = 40 + requests.size();
+        r.options.solver = cycle_time_solver::border_sweep;
+        r.options.max_threads = 1;
+        requests.push_back(r);
+    }
+    const monte_carlo_table first =
+        build_monte_carlo_table(sg, requests[0].options.to_monte_carlo_options());
+    const monte_carlo_table second =
+        build_monte_carlo_table(sg, requests[1].options.to_monte_carlo_options());
+    ASSERT_NE(first.scale, 0);
+    ASSERT_NE(second.scale, 0);
+    ASSERT_NE(first.scale, second.scale);
+    ASSERT_FALSE(monte_carlo_table_fits(sg, requests[2].options.to_monte_carlo_options()));
+
+    std::vector<std::string> expected;
+    for (const analysis_request& request : requests) {
+        const analysis_response solo = execute_request(request, sg);
+        ASSERT_TRUE(solo.ok) << solo.error.message;
+        expected.push_back(without_engine_block(solo.payload));
+    }
+
+    analysis_request plug = make_request(request_kind::montecarlo, "plug");
+    plug.options.adaptive = true;
+    plug.options.epsilon = 1e-9; // never converges: runs to the cap
+    plug.options.samples = 4096;
+    plug.options.min_samples = 4096;
+    plug.options.with_witness = false;
+    std::future<analysis_response> plug_done = service.submit(plug);
+    std::vector<std::future<analysis_response>> futures;
+    for (const analysis_request& request : requests)
+        futures.push_back(service.submit(request));
+    ASSERT_TRUE(plug_done.get().ok);
+
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        const analysis_response response = futures[i].get();
+        ASSERT_TRUE(response.ok) << requests[i].id << ": " << response.error.message;
+        EXPECT_TRUE(response.coalesced) << requests[i].id;
+        EXPECT_EQ(without_engine_block(response.payload), expected[i]) << requests[i].id;
+        const json_value doc = json_parse(response.payload, "payload");
+        const json_value* engine = doc.find("aggregate")->find("engine");
+        EXPECT_EQ(engine->find("lane_groups")->text, "1") << requests[i].id;
+        EXPECT_EQ(engine->find("lane_scenarios")->text, "8") << requests[i].id;
+    }
+    EXPECT_EQ(service.metrics().engine_batches, 1u);
+}
+
+TEST(Service, StatisticsRequestsCountTheSamplesTheyEvaluate)
+{
+    const signal_graph sg = c_oscillator_sg();
+    analysis_service service;
+    service.register_design("chip", sg);
+
+    analysis_request criticality = make_request(request_kind::criticality, "crit");
+    criticality.options.samples = 64;
+    const analysis_response crit = service.execute(criticality);
+    ASSERT_TRUE(crit.ok) << crit.error.message;
+    EXPECT_EQ(crit.scenarios, 64u);
+
+    analysis_request adaptive = make_request(request_kind::montecarlo, "adaptive");
+    adaptive.options.adaptive = true;
+    adaptive.options.epsilon = 0.05;
+    adaptive.options.samples = 2048;
+    const analysis_response run = service.execute(adaptive);
+    ASSERT_TRUE(run.ok) << run.error.message;
+    const json_value doc = json_parse(run.payload, "payload");
+    const std::size_t samples = std::stoull(doc.find("statistics")->find("samples")->text);
+    EXPECT_GT(samples, 0u);
+    EXPECT_EQ(run.scenarios, samples);
+
+    // Both count in the throughput and the fleet row, and both payloads
+    // equal the tool's, which builds its own table.
+    const service_metrics m = service.metrics();
+    EXPECT_EQ(m.scenarios, 64u + samples);
+    ASSERT_EQ(m.fleet.size(), 1u);
+    EXPECT_EQ(m.fleet[0].second.scenarios, 64u + samples);
+    EXPECT_EQ(crit.payload, execute_request(criticality, sg).payload);
+    EXPECT_EQ(run.payload, execute_request(adaptive, sg).payload);
 }
 
 TEST(Service, ConcurrentClientsReceiveSoloPayloads)

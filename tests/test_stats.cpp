@@ -136,39 +136,6 @@ TEST(Stats, PassedDeadlineStopsTheRunBeforeItsFirstSample)
     }
 }
 
-TEST(Stats, MergePartitionsAreBitIdentical)
-{
-    const signal_graph sg = random_fractional_graph(0xfeed, 16);
-    const compiled_graph compiled(sg);
-    const scenario_engine engine(compiled);
-
-    monte_carlo_options mc;
-    mc.samples = 200;
-    mc.seed = 5;
-    const std::vector<scenario> scenarios = monte_carlo_scenarios(sg, mc);
-    const scenario_batch_result batch = engine.run(scenarios, {});
-
-    const rational lo(0);
-    const rational hi = batch.max_cycle_time * 2;
-    stats_accumulator serial(sg.arc_count(), 16, lo, hi);
-    for (const scenario_outcome& o : batch.outcomes) serial.add(o);
-
-    // Split at a block boundary: left side folds [0, 128), right side the
-    // rest, then merge.  Must reproduce the serial fold bit for bit.
-    const std::size_t split = 2 * stats_accumulator::block_size;
-    stats_accumulator left(sg.arc_count(), 16, lo, hi);
-    stats_accumulator right(sg.arc_count(), 16, lo, hi);
-    for (std::size_t i = 0; i < split; ++i) left.add(batch.outcomes[i]);
-    for (std::size_t i = split; i < batch.outcomes.size(); ++i) right.add(batch.outcomes[i]);
-    left.merge(right);
-    expect_bit_identical(serial, left);
-
-    // Merging off a block boundary is a contract violation, not silent drift.
-    stats_accumulator misaligned(sg.arc_count(), 16, lo, hi);
-    misaligned.add(batch.outcomes[0]);
-    EXPECT_THROW(misaligned.merge(right), error);
-}
-
 TEST(Stats, AdaptivePrefixReplaysFixedRunBitIdentically)
 {
     const signal_graph sg = random_fractional_graph(0xabc, 20);

@@ -54,6 +54,26 @@ TEST(Prng, UniformRespectsBounds)
     EXPECT_THROW(rng.uniform(2, 1), error);
 }
 
+TEST(Prng, UniformRangeDrawsWhatUniformDraws)
+{
+    // Small, odd, power-of-two, 32-bit-crossing and near-full spans, and
+    // the full 64-bit range: the precomputed remainder must equal v % span.
+    const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+    const std::pair<std::int64_t, std::int64_t> ranges[] = {
+        {0, 0},          {0, 1},        {0, 16},          {-16, 16},
+        {5, 4100},       {0, 1023},     {0, 4294967296},  {-3, 4294967299},
+        {0, max / 3},    {0, max - 1},  {min / 2, max / 2}, {min, max},
+    };
+    for (const auto& [lo, hi] : ranges) {
+        prng a(lo ^ hi);
+        prng b(lo ^ hi);
+        const uniform_range draw(lo, hi);
+        for (int i = 0; i < 2000; ++i) ASSERT_EQ(draw(b), a.uniform(lo, hi)) << lo << ".." << hi;
+    }
+    EXPECT_THROW(uniform_range(3, 2), error);
+}
+
 TEST(Prng, Uniform01InRange)
 {
     prng rng(9);
