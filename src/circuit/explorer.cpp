@@ -122,7 +122,7 @@ corner_exploration_result explore_delay_corners(const netlist& nl,
     // One structural compile; everything below is delay rebinds against it.
     const compiled_graph base(out.graph);
     const scenario_engine engine(base);
-    out.nominal_cycle_time = engine.evaluate(base.delay(), /*with_slack=*/false).cycle_time;
+    out.nominal_cycle_time = engine.nominal(/*analysis_threads=*/0);
 
     corner_sweep_options sweep;
     sweep.factor = options.spread;

@@ -610,7 +610,7 @@ std::string statistics_json(const std::string& command, const std::string& solve
                             const stats_options& options)
 {
     const stats_accumulator& st = run.stats;
-    const double z = options.confidence_z;
+    const double z = stats_confidence_z;
     std::string target = "mean";
     if (options.quantile >= 0.0) target = "q" + format_double(options.quantile, 4);
 
@@ -1034,17 +1034,17 @@ std::string analyze_payload(const analysis_request& request, const signal_graph&
 } // namespace
 
 std::unique_ptr<scenario_source> request_source(const analysis_request& request,
-                                                const signal_graph& sg,
-                                                std::shared_ptr<const monte_carlo_table> table)
+                                                const scenario_engine& engine)
 {
+    const signal_graph& sg = engine.base().source();
     switch (request.kind) {
     case request_kind::sweep:
         return std::make_unique<corner_sweep_source>(
             sg, request.options.to_corner_sweep_options());
     case request_kind::montecarlo: {
         const monte_carlo_options mc = request.options.to_monte_carlo_options();
-        if (!table) table = monte_carlo_run_table(sg, mc, mc.samples);
-        return std::make_unique<monte_carlo_source>(sg, mc, std::move(table));
+        return std::make_unique<monte_carlo_source>(sg, mc,
+                                                    engine.sampling_table(mc, mc.samples));
     }
     default:
         throw error("bad_request: request kind '" +
@@ -1072,7 +1072,6 @@ std::string execute_analysis_payload(const analysis_request& request, const sign
                                      const compiled_graph& compiled,
                                      const scenario_engine& engine,
                                      std::chrono::steady_clock::time_point deadline,
-                                     const std::shared_ptr<const monte_carlo_table>& table,
                                      std::size_t* scenarios)
 {
     const request_options& o = request.options;
@@ -1107,7 +1106,6 @@ std::string execute_analysis_payload(const analysis_request& request, const sign
         monte_carlo_options mc = o.to_monte_carlo_options();
         stats_options stats = o.to_stats_options(request.kind);
         stats.deadline = deadline;
-        stats.table = table;
         stats_run_result run;
         if (o.adaptive) {
             run = monte_carlo_adaptive(engine, sg, mc, stats);
@@ -1120,12 +1118,10 @@ std::string execute_analysis_payload(const analysis_request& request, const sign
                                sg, run, stats);
     }
 
-    const std::unique_ptr<scenario_source> source = request_source(request, sg, table);
+    const std::unique_ptr<scenario_source> source = request_source(request, engine);
     require(source->size() > 0,
             "invalid_model: no scenarios to evaluate (no perturbable arcs)");
-    const rational nominal =
-        engine.evaluate(compiled.delay(), /*with_slack=*/false, o.max_threads, o.solver)
-            .cycle_time;
+    const rational nominal = engine.nominal(o.max_threads);
     const scenario_batch_result batch = engine.run(*source, o.to_batch_options());
     if (scenarios) *scenarios = source->size();
     return batch_payload_json(request, sg, nominal, *source, batch);

@@ -343,14 +343,13 @@ struct edit_batch_status {
 
 // --- executors ---------------------------------------------------------------
 
-/// The batch of a batch-kind request (sweep, non-adaptive montecarlo) as a
-/// scenario source — the building block the service coalescer merges into
-/// one engine run.  A Monte Carlo source draws through `table` (built for
-/// the request's grid over `sg`), or when null through the table of
-/// monte_carlo_run_table's rule.  `sg` must outlive the source.
+/// The batch of a batch-kind request (sweep, non-adaptive montecarlo) over
+/// the engine's graph as a scenario source — the building block the
+/// service coalescer merges into one engine run.  A Monte Carlo source
+/// draws through the engine's sampling table of the request's grid.  The
+/// engine must outlive the source.
 [[nodiscard]] std::unique_ptr<scenario_source> request_source(
-    const analysis_request& request, const signal_graph& sg,
-    std::shared_ptr<const monte_carlo_table> table = nullptr);
+    const analysis_request& request, const scenario_engine& engine);
 
 /// The same batch, materialized exactly as the tool generates it.
 [[nodiscard]] std::vector<scenario> request_scenarios(const analysis_request& request,
@@ -378,17 +377,15 @@ struct edit_batch_status {
 /// the epoch default) bounds statistics streaming, optimize and
 /// report_topk: they check it between rounds, evaluations or solves and
 /// throw a deadline_exceeded error once it passes.  Deadlines never change
-/// the payload of work that completes.  `table`, when given, is the
-/// sampling table of the request's Monte Carlo grid (spread and
-/// resolution) over `sg`; Monte Carlo and criticality runs draw through it
-/// instead of building their own.  `scenarios`, when given, receives the
-/// scenarios or samples the run evaluated (0 for analyze, optimize and
-/// report_topk).
+/// the payload of work that completes.  The nominal cycle time and the
+/// Monte Carlo sampling tables come from `engine`'s caches, so an engine
+/// kept across requests (the service's, one per design version) solves
+/// and builds them once.  `scenarios`, when given, receives the scenarios
+/// or samples the run evaluated (0 for analyze, optimize and report_topk).
 [[nodiscard]] std::string execute_analysis_payload(
     const analysis_request& request, const signal_graph& sg,
     const compiled_graph& compiled, const scenario_engine& engine,
     std::chrono::steady_clock::time_point deadline = {},
-    const std::shared_ptr<const monte_carlo_table>& table = nullptr,
     std::size_t* scenarios = nullptr);
 
 /// Executes an edit request: drives `engine` through the request's script

@@ -326,6 +326,9 @@ optimize_result optimize_deterministic(const signal_graph& sg, const scenario_en
 
 // --- statistical optimizer ---------------------------------------------------
 
+/// Criticality-ranked candidates evaluated per allocation quantum.
+constexpr std::size_t stat_candidates = 4;
+
 /// Monte Carlo ranges around the *current* delays: nominal * (1 -/+ spread),
 /// clamped at zero — the moving equivalent of the generator's default.
 std::vector<delay_range> ranges_around(const std::vector<rational>& delay,
@@ -348,7 +351,6 @@ optimize_result optimize_statistical(const signal_graph& sg, const scenario_engi
     const compiled_graph& cg = engine.base();
     const rational step = resolve_step(options);
     const std::uint64_t total = floor_quanta(options.budget, step);
-    const std::size_t fan = std::max<std::size_t>(options.max_candidates, 1);
 
     stats_options stats = options.stats;
     stats.yield_target = options.target;
@@ -386,7 +388,7 @@ optimize_result optimize_statistical(const signal_graph& sg, const scenario_engi
 
     stats_run_result cur = evaluate(/*with_criticality=*/true);
     out.initial_yield = cur.stats.yield_probability();
-    out.initial_yield_ci_half_width = cur.stats.yield_ci_half_width(stats.confidence_z);
+    out.initial_yield_ci_half_width = cur.stats.yield_ci_half_width(stats_confidence_z);
 
     // Criticality-ranked candidates: probability descending, arc ascending.
     const auto ranked_candidates = [&](const stats_run_result& run) {
@@ -402,7 +404,7 @@ optimize_result optimize_statistical(const signal_graph& sg, const scenario_engi
         std::vector<arc_id> cand;
         for (const auto& [count, a] : order) {
             cand.push_back(a);
-            if (cand.size() == fan) break;
+            if (cand.size() == stat_candidates) break;
         }
         return std::pair<std::vector<arc_id>, std::size_t>(std::move(cand), order.size());
     };
@@ -415,7 +417,7 @@ optimize_result optimize_statistical(const signal_graph& sg, const scenario_engi
         if (cand.empty()) break; // no probabilistically critical arc has headroom
 
         const double cur_yield = cur.stats.yield_probability();
-        const double cur_ci = cur.stats.yield_ci_half_width(stats.confidence_z);
+        const double cur_ci = cur.stats.yield_ci_half_width(stats_confidence_z);
 
         arc_id best_arc = invalid_arc;
         double best_yield = -1.0;
@@ -427,7 +429,7 @@ optimize_result optimize_statistical(const signal_graph& sg, const scenario_engi
             const double y = probe.stats.yield_probability();
             if (y > best_yield) { // strict: criticality rank breaks ties
                 best_yield = y;
-                best_ci = probe.stats.yield_ci_half_width(stats.confidence_z);
+                best_ci = probe.stats.yield_ci_half_width(stats_confidence_z);
                 best_arc = c;
             }
         }
@@ -446,13 +448,13 @@ optimize_result optimize_statistical(const signal_graph& sg, const scenario_engi
         record.reduction = step;
         record.cycle_time_after = out.final_cycle_time;
         record.yield_after = cur.stats.yield_probability();
-        record.yield_ci_half_width = cur.stats.yield_ci_half_width(stats.confidence_z);
+        record.yield_ci_half_width = cur.stats.yield_ci_half_width(stats_confidence_z);
         record.samples = cur.stats.count();
         out.steps.push_back(std::move(record));
     }
 
     out.final_yield = cur.stats.yield_probability();
-    out.final_yield_ci_half_width = cur.stats.yield_ci_half_width(stats.confidence_z);
+    out.final_yield_ci_half_width = cur.stats.yield_ci_half_width(stats_confidence_z);
     record_plan(out, initial_delay, delay);
     out.target_reached = !(options.target < out.final_cycle_time);
     return out;
@@ -648,10 +650,7 @@ topk_result topk_statistical(const signal_graph& sg, const compiled_graph& cg,
 
     topk_result out;
     out.mode = optimize_mode::statistical;
-    out.cycle_time =
-        engine.evaluate(cg.delay(), /*with_slack=*/false, options.max_threads, options.solver,
-                        /*with_witness=*/false)
-            .cycle_time;
+    out.cycle_time = engine.nominal(options.max_threads);
 
     scenario_batch_options bopts;
     bopts.max_threads = options.max_threads;
@@ -667,8 +666,7 @@ topk_result topk_statistical(const signal_graph& sg, const compiled_graph& cg,
     std::map<std::vector<arc_id>, tally> witnesses;
 
     const std::size_t have = monte_carlo_rounds(
-        engine, sg, options.mc, /*table=*/nullptr, options.samples, /*round_samples=*/0, bopts,
-        options.deadline,
+        engine, options.mc, options.samples, /*round_samples=*/0, bopts, options.deadline,
         [&](const scenario_batch_result& batch, std::size_t first) {
             for (const critical_cycle_stat& stat : batch.critical_cycles) {
                 const auto [it, inserted] = witnesses.try_emplace(
@@ -695,7 +693,7 @@ topk_result topk_statistical(const signal_graph& sg, const compiled_graph& cg,
         cycle.count = t.count;
         cycle.first_index = t.first_index;
         cycle.probability = static_cast<double>(t.count) / n;
-        cycle.ci_half_width = options.confidence_z *
+        cycle.ci_half_width = stats_confidence_z *
                               std::sqrt(cycle.probability * (1.0 - cycle.probability) / n);
         out.cycles.push_back(std::move(cycle));
     }

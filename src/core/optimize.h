@@ -104,10 +104,6 @@ struct optimize_options {
     /// allocation and the result reports exact = false.
     std::size_t max_evaluations = 4096;
 
-    /// Statistical mode: criticality-ranked candidates evaluated per
-    /// allocation quantum (at least 1).
-    std::size_t max_candidates = 4;
-
     /// Engine knobs.  Deterministic mode: the solver computes the initial
     /// lambda and the greedy fallback's slack-based critical sets; the
     /// search's lambda-only evaluations always run the warm Howard chain,
@@ -123,7 +119,7 @@ struct optimize_options {
     monte_carlo_options mc;
 
     /// Statistical mode: adaptive-MC controls (epsilon = target yield-CI
-    /// half-width, min/max samples, round size, confidence, deadline).
+    /// half-width, min/max samples, round size, deadline).
     /// yield_target / yield_objective are set internally from `target`.
     /// Deterministic mode reads only `deadline` (see "Deadlines" above).
     stats_options stats;
@@ -193,9 +189,6 @@ struct topk_options {
     /// Statistical mode: fixed Monte Carlo sample count and model.
     std::size_t samples = 100;
     monte_carlo_options mc;
-
-    /// Two-sided normal quantile for the statistical CIs.
-    double confidence_z = 1.959963984540054;
 
     /// Engine knobs.  Deterministic reports are bit-identical for every
     /// thread count; statistical witness identities additionally need a

@@ -551,31 +551,20 @@ void validate_mc_options(const signal_graph& sg, const monte_carlo_options& opti
                 "monte_carlo_scenarios: delay_model needs one sensitivity per arc");
 }
 
-/// Resolved per-arc sampling description.  The sampled delay
-/// lo + (hi - lo) * u/res is a point on the arc's fixed grid, so it can be
-/// built as ONE normalized rational (base + step*u over a precomputed
-/// denominator) instead of a chain of rational ops, each paying its own
-/// gcd.  Generation is the dominant cost of small-request Monte Carlo
-/// serving, and this path cuts it several-fold; arcs whose grid components
-/// would overflow int64 fall back to the exact rational chain over
-/// `ranges` (identical values either way).
-struct mc_sampling {
-    struct sample_grid {
-        std::int64_t base = 0; ///< lo.num * span.den * resolution
-        std::int64_t step = 0; ///< span.num * lo.den
-        std::int64_t den = 1;  ///< lo.den * span.den * resolution
-        bool fast = false;
-    };
-    std::vector<sample_grid> grids;
-    std::vector<delay_range> ranges; ///< exact ranges, for the fallback path
-};
-
-mc_sampling resolve_mc_sampling(const signal_graph& sg,
-                                const monte_carlo_options& options)
+/// Fills `table.grid` (and `table.ranges` for fallback arcs).  The sampled
+/// delay lo + (hi - lo) * u/res is a point on the arc's fixed grid, so it
+/// can be built as ONE normalized rational (base + step*u over a
+/// precomputed denominator) instead of a chain of rational ops, each
+/// paying its own gcd.
+void resolve_grid(monte_carlo_table& table, const signal_graph& sg,
+                  const monte_carlo_options& options)
 {
-    mc_sampling s;
-    s.grids.resize(sg.arc_count());
+    table.grid.resize(sg.arc_count());
     constexpr int128 lim = std::numeric_limits<std::int64_t>::max();
+    const auto fall_back = [&](arc_id a, delay_range range) {
+        if (table.ranges.empty()) table.ranges.resize(sg.arc_count());
+        table.ranges[a] = std::move(range);
+    };
 
     // Reduces one arc's grid from raw (possibly unnormalized) fraction
     // components lo = ln/ld, span = sn/sd with sn >= 0 — the per-sample
@@ -598,7 +587,7 @@ mc_sampling resolve_mc_sampling(const signal_graph& sg,
         // u ranges over [0, resolution], so base + step*resolution bounds
         // the numerator.
         if (den > lim || base + step * options.resolution > lim) return false;
-        mc_sampling::sample_grid& g = s.grids[a];
+        monte_carlo_table::arc_grid& g = table.grid[a];
         g.base = static_cast<std::int64_t>(base);
         g.step = static_cast<std::int64_t>(step);
         g.den = static_cast<std::int64_t>(den);
@@ -608,7 +597,6 @@ mc_sampling resolve_mc_sampling(const signal_graph& sg,
             g.step /= common;
             g.den /= common;
         }
-        g.fast = true;
         return true;
     };
 
@@ -623,7 +611,6 @@ mc_sampling resolve_mc_sampling(const signal_graph& sg,
         const rational hi_f = rational(1) + options.spread;
         const rational lo_f = one_minus.is_negative() ? rational(0) : one_minus;
         const rational span_f = hi_f - lo_f;
-        s.ranges.resize(sg.arc_count()); // filled only for fallback arcs
         for (arc_id a = 0; a < sg.arc_count(); ++a) {
             const rational& d = sg.arc(a).delay;
             if (d.is_negative() ||
@@ -631,7 +618,7 @@ mc_sampling resolve_mc_sampling(const signal_graph& sg,
                               static_cast<int128>(d.den()) * lo_f.den(),
                               static_cast<int128>(d.num()) * span_f.num(),
                               static_cast<int128>(d.den()) * span_f.den()))
-                s.ranges[a] = {max(rational(0), d * one_minus), d * hi_f};
+                fall_back(a, {max(rational(0), d * one_minus), d * hi_f});
         }
     } else {
         require(options.ranges.size() == sg.arc_count(),
@@ -639,82 +626,150 @@ mc_sampling resolve_mc_sampling(const signal_graph& sg,
         for (const delay_range& r : options.ranges)
             require(!r.lo.is_negative() && r.lo <= r.hi,
                     "monte_carlo_scenarios: ranges must satisfy 0 <= lo <= hi");
-        s.ranges = options.ranges;
         for (arc_id a = 0; a < sg.arc_count(); ++a) {
-            const delay_range& r = s.ranges[a];
+            const delay_range& r = options.ranges[a];
             const rational span = r.hi - r.lo;
-            (void)install_grid(a, r.lo.num(), r.lo.den(), span.num(), span.den());
+            if (!install_grid(a, r.lo.num(), r.lo.den(), span.num(), span.den()))
+                fall_back(a, r);
         }
     }
-    return s;
 }
 
-/// Grid value of arc `a` at grid position `u` — one rational construction
-/// on the fast path, the exact chain on the fallback path.
-rational mc_value(const mc_sampling& s, const monte_carlo_options& options,
-                  arc_id a, std::int64_t u)
+/// Grid point u of arc a, computed: one rational construction on the fast
+/// path, the exact chain on the fallback path.
+rational grid_point(const monte_carlo_table& table, arc_id a, std::int64_t u)
 {
-    const mc_sampling::sample_grid& g = s.grids[a];
-    if (g.fast) return rational(g.base + g.step * u, g.den);
-    const delay_range& r = s.ranges[a];
-    return r.lo + (r.hi - r.lo) * rational(u, options.resolution);
+    const monte_carlo_table::arc_grid& g = table.grid[a];
+    if (g.den != 0) return rational(g.base + g.step * u, g.den);
+    const delay_range& r = table.ranges[a];
+    return r.lo + (r.hi - r.lo) * rational(u, table.resolution);
 }
 
 /// The table's int64 image (see monte_carlo_table), when it fits.  The
-/// scale is the LCM of the fast arcs' grid denominators and of every
-/// fallback cell's denominator — a multiple of every cell's denominator —
-/// and a fast arc's cells scale affinely: (base + step * u) * (scale / den).
-void build_table_image(monte_carlo_table& table, const mc_sampling& s)
+/// scale is the LCM of the arcs' grid denominators, and each arc's points
+/// scale affinely: (base + step * u) * (scale / den).
+void build_table_image(monte_carlo_table& table)
 {
-    const std::int64_t res = table.resolution;
     std::int64_t scale = 1;
-    for (arc_id a = 0; a < table.arc_count && scale != 0; ++a) {
-        if (s.grids[a].fast) {
-            scale = fixed_point_scale_lcm(scale, s.grids[a].den);
-            continue;
-        }
-        for (std::int64_t u = 0; u <= res && scale != 0; ++u)
-            scale = fixed_point_scale_lcm(scale, table.at(a, u).den());
+    for (const monte_carlo_table::arc_grid& g : table.grid) {
+        if (g.den == 0) return; // a fallback arc
+        scale = fixed_point_scale_lcm(scale, g.den);
+        if (scale == 0) return;
     }
-    if (scale == 0) return;
-
-    // Worst-case mass: every arc at its heaviest cell (the top of an
-    // affine grid, whose step is non-negative).
-    const auto fallback_cell = [&](arc_id a, std::int64_t u) {
-        const rational& v = table.at(a, u);
-        return static_cast<int128>(v.num()) * (scale / v.den());
-    };
+    // Worst-case mass: every arc at the top of its grid (steps are
+    // non-negative).
     int128 mass = 0;
-    for (arc_id a = 0; a < table.arc_count; ++a) {
-        const mc_sampling::sample_grid& g = s.grids[a];
-        if (g.fast) {
-            mass += static_cast<int128>(g.base + g.step * res) * (scale / g.den);
-            continue;
-        }
-        int128 heaviest = 0;
-        for (std::int64_t u = 0; u <= res; ++u)
-            heaviest = std::max(heaviest, fallback_cell(a, u));
-        mass += heaviest;
-    }
+    for (const monte_carlo_table::arc_grid& g : table.grid)
+        mass += static_cast<int128>(g.base + g.step * table.resolution) * (scale / g.den);
     const std::uint32_t period_limit = fixed_point_period_limit(mass);
-    if (period_limit == 0) return; // every cell fits int64 below this mass
+    if (period_limit == 0) return; // every point fits int64 below this mass
     table.scale = scale;
     table.period_limit = period_limit;
-    table.scaled.reserve(table.values.size());
-    for (arc_id a = 0; a < table.arc_count; ++a) {
-        const mc_sampling::sample_grid& g = s.grids[a];
-        const std::int64_t q = g.fast ? scale / g.den : 0;
-        for (std::int64_t u = 0; u <= res; ++u)
-            table.scaled.push_back(g.fast ? (g.base + g.step * u) * q
-                                          : static_cast<std::int64_t>(fallback_cell(a, u)));
+    table.image.reserve(table.grid.size());
+    for (const monte_carlo_table::arc_grid& g : table.grid) {
+        const std::int64_t q = scale / g.den;
+        table.image.push_back({g.base * q, g.step * q});
     }
+}
+
+/// Whether the cells of `options` over `sg` are small enough to build:
+/// resolution <= 4096 and at most 2^22 cells (arcs * (resolution + 1)).
+bool cells_fit(const signal_graph& sg, const monte_carlo_options& options)
+{
+    return options.resolution <= 4096 &&
+           sg.arc_count() * static_cast<std::size_t>(options.resolution + 1) <=
+               (std::size_t{1} << 22);
+}
+
+void build_cells(monte_carlo_table& table)
+{
+    const std::size_t arcs = table.grid.size();
+    table.values.reserve(arcs * static_cast<std::size_t>(table.resolution + 1));
+    for (arc_id a = 0; a < arcs; ++a)
+        for (std::int64_t u = 0; u <= table.resolution; ++u)
+            table.values.push_back(grid_point(table, a, u));
+}
+
+monte_carlo_table make_table(const signal_graph& sg, const monte_carlo_options& options,
+                             bool cells)
+{
+    validate_mc_options(sg, options);
+    monte_carlo_table table;
+    table.resolution = options.resolution;
+    resolve_grid(table, sg, options);
+    build_table_image(table);
+    if (cells) build_cells(table);
+    return table;
 }
 
 } // namespace
 
-struct monte_carlo_source::grid {
-    mc_sampling sampling;
-};
+rational monte_carlo_table::value(arc_id a, std::int64_t u) const
+{
+    if (values.empty()) return grid_point(*this, a, u);
+    return values[a * static_cast<std::size_t>(resolution + 1) + static_cast<std::size_t>(u)];
+}
+
+rational scenario_engine::nominal(unsigned analysis_threads) const
+{
+    const std::lock_guard<std::mutex> lock(nominal_mutex_);
+    if (!nominal_)
+        nominal_ = evaluate(base_->delay(), /*with_slack=*/false, analysis_threads,
+                            cycle_time_solver::auto_select, /*with_witness=*/false)
+                       .cycle_time;
+    return *nominal_;
+}
+
+std::shared_ptr<const monte_carlo_table> scenario_engine::sampling_table(
+    const monte_carlo_options& options, std::size_t samples) const
+{
+    const signal_graph& sg = base_->source();
+    const auto cells = [&](std::size_t asked) {
+        return asked > static_cast<std::size_t>(options.resolution) && cells_fit(sg, options);
+    };
+    if (!options.ranges.empty())
+        return std::make_shared<const monte_carlo_table>(
+            make_table(sg, options, cells(samples)));
+
+    const auto key = std::make_tuple(options.spread.num(), options.spread.den(),
+                                     options.resolution);
+    const auto count = [samples](std::size_t& total) {
+        total += std::min(samples, std::numeric_limits<std::size_t>::max() - total);
+        return total;
+    };
+    // Look up and count under the lock, build outside it: a cache hit never
+    // waits on another grid's build.
+    std::shared_ptr<const monte_carlo_table> cached;
+    std::size_t asked = samples;
+    {
+        const std::lock_guard<std::mutex> lock(grids_mutex_);
+        const auto it = grids_.find(key);
+        if (it != grids_.end()) {
+            asked = count(it->second.asked);
+            if (!it->second.table->values.empty() || !cells(asked)) return it->second.table;
+            cached = it->second.table;
+        }
+    }
+    std::shared_ptr<const monte_carlo_table> built;
+    if (cached) {
+        monte_carlo_table with_cells = *cached;
+        build_cells(with_cells);
+        built = std::make_shared<const monte_carlo_table>(std::move(with_cells));
+    } else {
+        built = std::make_shared<const monte_carlo_table>(make_table(sg, options, cells(asked)));
+    }
+    const std::lock_guard<std::mutex> lock(grids_mutex_);
+    auto it = grids_.find(key);
+    if (it == grids_.end()) {
+        if (grids_.size() >= 16) grids_.clear(); // bounded against pathological clients
+        it = grids_.emplace(key, cached_grid{built, cached ? asked : 0}).first;
+    }
+    // A concurrent caller may have installed the grid meanwhile: keep its
+    // table unless only this build has the cells.
+    if (!cached) count(it->second.asked);
+    if (it->second.table->values.empty() && !built->values.empty()) it->second.table = built;
+    return it->second.table;
+}
 
 monte_carlo_source::monte_carlo_source(const signal_graph& sg,
                                        const monte_carlo_options& options,
@@ -722,13 +777,10 @@ monte_carlo_source::monte_carlo_source(const signal_graph& sg,
     : sg_(&sg), options_(options), table_(std::move(table))
 {
     validate_mc_options(sg, options);
-    if (table_)
-        require(table_->resolution == options.resolution &&
-                    table_->arc_count == sg.arc_count(),
-                "monte_carlo_scenarios: table was built for a different "
-                "graph/spread/resolution");
-    else
-        grid_ = std::make_shared<const grid>(grid{resolve_mc_sampling(sg, options)});
+    require(table_ && table_->resolution == options.resolution &&
+                table_->grid.size() == sg.arc_count(),
+            "monte_carlo_scenarios: table was built for a different "
+            "graph/spread/resolution");
     require(options.samples > 0, "monte_carlo_scenarios: samples must be positive");
 }
 
@@ -774,8 +826,7 @@ const std::vector<rational>& monte_carlo_source::delays(std::size_t i,
     scratch.clear();
     scratch.reserve(sg_->arc_count());
     for (arc_id a = 0; a < sg_->arc_count(); ++a) {
-        const std::int64_t u = draw(rng);
-        rational d = table_ ? table_->at(a, u) : mc_value(grid_->sampling, options_, a, u);
+        rational d = table_->value(a, draw(rng));
         if (K > 0) {
             const rational& nominal = sg_->arc(a).delay;
             for (std::size_t j = 0; j < K; ++j) {
@@ -792,75 +843,54 @@ const std::vector<rational>& monte_carlo_source::delays(std::size_t i,
 bool monte_carlo_source::image(std::size_t i, std::uint32_t periods,
                                fixed_point_domain& out) const
 {
-    if (!table_ || table_->scale == 0 || periods >= table_->period_limit ||
-        !options_.model.sources.empty())
+    const monte_carlo_table& table = *table_;
+    if (table.scale == 0 || periods >= table.period_limit || !options_.model.sources.empty())
         return false;
-    out.scale = table_->scale;
-    out.period_limit = table_->period_limit;
+    out.scale = table.scale;
+    out.period_limit = table.period_limit;
     out.negative = false;
-    const std::size_t arcs = table_->arc_count;
-    const auto stride = static_cast<std::size_t>(options_.resolution + 1);
+    const std::size_t arcs = table.image.size();
     out.scaled.resize(arcs);
     std::int64_t* row = out.scaled.data();
-    const std::int64_t* cells = table_->scaled.data();
+    const monte_carlo_table::affine* image = table.image.data();
     const uniform_range draw(0, options_.resolution);
     prng rng(sample_stream_seed(options_.seed, options_.first_sample + i));
-    for (std::size_t a = 0; a < arcs; ++a, cells += stride) row[a] = cells[draw(rng)];
+    for (std::size_t a = 0; a < arcs; ++a) row[a] = image[a].base + image[a].step * draw(rng);
     return true;
 }
 
-std::vector<scenario> monte_carlo_scenarios(const signal_graph& sg,
-                                            const monte_carlo_options& options)
+namespace {
+
+/// monte_carlo_scenarios over `table`, which the caller keeps alive.
+std::vector<scenario> draw_scenarios(const signal_graph& sg, const monte_carlo_options& options,
+                                     const monte_carlo_table& table)
 {
-    const monte_carlo_source source(sg, options);
+    const monte_carlo_source source(
+        sg, options, std::shared_ptr<const monte_carlo_table>(std::shared_ptr<void>(), &table));
     const bool parallel_worthwhile =
         options.samples * sg.arc_count() >= (std::size_t{1} << 15);
     return scenarios_of(source, parallel_worthwhile ? options.max_threads : 1);
 }
 
-bool monte_carlo_table_fits(const signal_graph& sg, const monte_carlo_options& options)
+} // namespace
+
+std::vector<scenario> monte_carlo_scenarios(const signal_graph& sg,
+                                            const monte_carlo_options& options)
 {
-    return options.resolution <= 4096 &&
-           sg.arc_count() * static_cast<std::size_t>(options.resolution + 1) <=
-               (std::size_t{1} << 22);
+    return draw_scenarios(sg, options, make_table(sg, options, /*cells=*/false));
 }
 
 monte_carlo_table build_monte_carlo_table(const signal_graph& sg,
                                           const monte_carlo_options& options)
 {
-    validate_mc_options(sg, options);
-    const mc_sampling sampling = resolve_mc_sampling(sg, options);
-    monte_carlo_table table;
-    table.resolution = options.resolution;
-    table.arc_count = sg.arc_count();
-    table.values.reserve(sg.arc_count() *
-                         static_cast<std::size_t>(options.resolution + 1));
-    for (arc_id a = 0; a < sg.arc_count(); ++a)
-        for (std::int64_t u = 0; u <= options.resolution; ++u)
-            table.values.push_back(mc_value(sampling, options, a, u));
-    build_table_image(table, sampling);
-    return table;
-}
-
-std::shared_ptr<const monte_carlo_table> monte_carlo_run_table(
-    const signal_graph& sg, const monte_carlo_options& options, std::size_t samples)
-{
-    if (!monte_carlo_table_fits(sg, options) ||
-        samples <= static_cast<std::size_t>(options.resolution))
-        return nullptr;
-    return std::make_shared<const monte_carlo_table>(build_monte_carlo_table(sg, options));
+    return make_table(sg, options, /*cells=*/true);
 }
 
 std::vector<scenario> monte_carlo_scenarios(const signal_graph& sg,
                                             const monte_carlo_options& options,
                                             const monte_carlo_table& table)
 {
-    // Non-owning: the caller's table outlives the source.
-    const monte_carlo_source source(
-        sg, options, std::shared_ptr<const monte_carlo_table>(std::shared_ptr<void>(), &table));
-    const bool parallel_worthwhile =
-        options.samples * sg.arc_count() >= (std::size_t{1} << 15);
-    return scenarios_of(source, parallel_worthwhile ? options.max_threads : 1);
+    return draw_scenarios(sg, options, table);
 }
 
 } // namespace tsg

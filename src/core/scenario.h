@@ -38,7 +38,8 @@
 //     row's image with one cell changed;
 //   * monte_carlo_source — reproducible uniform sampling from per-arc
 //     delay ranges on an exact rational grid, seeded explicitly; a row is
-//     the sampling table's image at the sample's own PRNG draws;
+//     the sampling grid's affine int64 image at the sample's own PRNG
+//     draws;
 //   * scenario_concat — several sources as one batch (the service's
 //     coalescer);
 //   * any caller-assembled vector<scenario> (run's vector overload), and
@@ -59,14 +60,25 @@
 // critical* witness cycles may differ between solvers and thread layouts.
 // The deterministic optimizer (core/optimize.h) runs its lambda-only
 // candidate evaluations on the same chain type.
+//
+// Per-snapshot caches.  The engine owns what never changes for its
+// snapshot: the nominal cycle time (nominal()) and the Monte Carlo
+// sampling grids (sampling_table()).  Every caller — the tool, the
+// statistics round loop, the analysis service's workers — asks the engine
+// instead of keeping its own copy.  The caches assume the base snapshot
+// never changes, which holds for every caller: an engine built over
+// incremental_engine::compiled() is valid only until the next edit, as its
+// lane packs already are.
 #ifndef TSG_CORE_SCENARIO_H
 #define TSG_CORE_SCENARIO_H
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -295,6 +307,9 @@ struct scenario_batch_options {
     unsigned lane_width = 0;
 };
 
+struct monte_carlo_options;
+struct monte_carlo_table;
+
 /// The batch engine: holds the compiled structural snapshot, a long-lived
 /// worker pool, and evaluates delay assignments against the snapshot.  The
 /// compiled_graph (and its source signal_graph) must outlive the engine.
@@ -302,12 +317,31 @@ struct scenario_batch_options {
 /// The pool is created lazily on the first run() and reused by every later
 /// batch (resized only when the thread budget changes), so repeated runs
 /// pay no thread-spawn cost.  Concurrent run() calls on one engine are
-/// safe but serialize on the pool.
+/// safe but serialize on the pool; nominal() and sampling_table() are safe
+/// from any thread.
 class scenario_engine {
 public:
     explicit scenario_engine(const compiled_graph& base) : base_(&base) {}
 
     [[nodiscard]] const compiled_graph& base() const noexcept { return *base_; }
+
+    /// The cycle time at the snapshot's own delays (lambda, or the PERT
+    /// makespan on acyclic graphs), solved on the first call with that
+    /// call's `analysis_threads` budget (as evaluate()).  Exact, so it is
+    /// the same for every solver and thread budget.
+    [[nodiscard]] rational nominal(unsigned analysis_threads) const;
+
+    /// The sampling table a run of `samples` samples on `options`' grid
+    /// draws through (options.model and the sample window play no part).
+    /// Spread grids are cached per (spread, resolution), at most 16 per
+    /// engine; a grid of explicit ranges is built on every call.  A table
+    /// gets its rational cells once more samples than the grid's
+    /// resolution have been asked for on it — by this call alone for
+    /// explicit ranges, by every call so far for a cached grid — and only
+    /// while the cells fit (resolution <= 4096, at most 2^22 cells).
+    /// Validates the grid options like monte_carlo_scenarios.
+    [[nodiscard]] std::shared_ptr<const monte_carlo_table> sampling_table(
+        const monte_carlo_options& options, std::size_t samples) const;
 
     /// Evaluates one delay assignment through the rebind path.
     /// `analysis_threads` is the thread budget for the cycle-time border
@@ -334,9 +368,22 @@ public:
 private:
     [[nodiscard]] thread_pool& acquire_pool(unsigned max_threads) const;
 
+    /// One cached spread grid and the samples asked for on it so far.
+    struct cached_grid {
+        std::shared_ptr<const monte_carlo_table> table;
+        std::size_t asked = 0;
+    };
+
     const compiled_graph* base_;
     mutable std::mutex run_mutex_;
     mutable std::unique_ptr<thread_pool> pool_;
+
+    mutable std::mutex nominal_mutex_;
+    mutable std::optional<rational> nominal_;
+
+    mutable std::mutex grids_mutex_;
+    /// Keyed by (spread numerator, spread denominator, resolution).
+    mutable std::map<std::tuple<std::int64_t, std::int64_t, std::int64_t>, cached_grid> grids_;
 };
 
 /// Recomputes every aggregate of `inout` from its outcomes (in order):
@@ -464,74 +511,73 @@ struct monte_carlo_options {
 [[nodiscard]] std::vector<scenario> monte_carlo_scenarios(
     const signal_graph& sg, const monte_carlo_options& options = {});
 
-/// Precomputed sampling table for one (graph, ranges/spread, resolution)
-/// combination: the `resolution + 1` grid values of every arc, materialized
-/// as canonical rationals.  Sampling against a table replaces the per-delay
-/// rational construction (a gcd each) with an indexed copy, which is the
-/// dominant cost of generating many small Monte Carlo batches over the
-/// same immutable snapshot — exactly the analysis service's workload, which
-/// caches one table per (design version, spread, resolution).
-///
-/// The table also holds its cells' int64 image at one common scale (the
-/// LCM of the arcs' grid denominators, a multiple of every cell's), which
-/// lane rows are drawn from.  The image is absent (scale 0) when that scale
-/// passes the fixed-point cap or the worst-case delay mass (every arc at
-/// its largest cell) is too heavy for even one period.
-///
+/// The sampling grid of one (graph, ranges/spread, resolution)
+/// combination, in up to three forms:
+///   * per arc, the exact fraction (base + step * u) / den of grid point u
+///     in [0, resolution]: one normalized rational per delay instead of a
+///     chain of rational operations.  An arc whose grid components would
+///     overflow int64 falls back to the exact chain over its range,
+///     lo + (hi - lo) * u / resolution (identical values either way);
+///   * the int64 image that lane rows are drawn from: at one common scale
+///     (the LCM of the arcs' grid denominators), point u of arc a is
+///     image[a].base + image[a].step * u.  Absent (scale 0) when an arc
+///     uses the fallback, the scale passes the fixed-point cap, or the
+///     worst-case delay mass (every arc at the top of its grid) is too
+///     heavy for even one period;
+///   * the rational cells, the resolution + 1 points of every arc
+///     materialized, so a scalar draw is an indexed copy instead of a gcd
+///     per delay.  Built only when a run draws enough samples to pay for
+///     them (scenario_engine::sampling_table).
 /// Tables are immutable once built and safe to share across threads.
 struct monte_carlo_table {
-    std::int64_t resolution = 0; ///< must match the sampling options
-    std::size_t arc_count = 0;
-    std::vector<rational> values; ///< arc-major: values[a*(resolution+1) + u]
+    struct arc_grid {
+        std::int64_t base = 0;
+        std::int64_t step = 0;
+        std::int64_t den = 0; ///< 0: the arc samples its exact range
+    };
+    struct affine {
+        std::int64_t base = 0;
+        std::int64_t step = 0;
+    };
 
-    std::int64_t scale = 0;          ///< the image's common scale; 0: no image
-    std::uint32_t period_limit = 0;  ///< fixed_point_period_limit(worst-case mass)
-    std::vector<std::int64_t> scaled; ///< values * scale, same layout
+    std::int64_t resolution = 0;   ///< must match the sampling options
+    std::vector<arc_grid> grid;    ///< one per arc
+    std::vector<delay_range> ranges; ///< per arc for fallback arcs; empty without any
 
-    [[nodiscard]] const rational& at(arc_id a, std::int64_t u) const noexcept
-    {
-        return values[a * static_cast<std::size_t>(resolution + 1) +
-                      static_cast<std::size_t>(u)];
-    }
+    std::int64_t scale = 0;         ///< the image's common scale; 0: no image
+    std::uint32_t period_limit = 0; ///< fixed_point_period_limit(worst-case mass)
+    std::vector<affine> image;      ///< one per arc when scale != 0
+
+    std::vector<rational> values; ///< cells, arc-major: values[a*(resolution+1) + u]; may be empty
+
+    /// Arc a's grid point u: its cell when the cells exist, else computed.
+    [[nodiscard]] rational value(arc_id a, std::int64_t u) const;
 };
 
-/// Whether the table of `options` over `sg` is small enough to build:
-/// resolution <= 4096 and at most 2^22 cells (arcs * (resolution + 1)).
-/// The statistics round loop (core/stats.h) builds one per run under this
-/// bound, the analysis service one per design version and grid.
-[[nodiscard]] bool monte_carlo_table_fits(const signal_graph& sg,
-                                          const monte_carlo_options& options);
-
-/// Materializes the sampling grid of `options` (ranges or spread) over the
-/// graph's arcs.  Validates exactly like monte_carlo_scenarios.
+/// The sampling grid of `options` (ranges or spread) over the graph's
+/// arcs, with every cell built.  Validates exactly like
+/// monte_carlo_scenarios.
 [[nodiscard]] monte_carlo_table build_monte_carlo_table(
     const signal_graph& sg, const monte_carlo_options& options = {});
 
-/// monte_carlo_scenarios drawing delays from a prebuilt table instead of
-/// evaluating the grid arithmetic per delay.  The table must have been
-/// built from the same graph, ranges/spread and resolution; the generated
-/// batch is bit-identical to the table-free overload.
+/// monte_carlo_scenarios drawing through a prebuilt table.  The table must
+/// have been built from the same graph, ranges/spread and resolution; the
+/// generated batch is bit-identical to the table-free overload.
 [[nodiscard]] std::vector<scenario> monte_carlo_scenarios(
     const signal_graph& sg, const monte_carlo_options& options,
     const monte_carlo_table& table);
 
-/// The table a run of `samples` draws through when its caller caches
-/// none: built when monte_carlo_table_fits and the run draws more samples
-/// than the grid has points (a smaller run would build more cells than it
-/// draws); null otherwise (computed draws).
-[[nodiscard]] std::shared_ptr<const monte_carlo_table> monte_carlo_run_table(
-    const signal_graph& sg, const monte_carlo_options& options, std::size_t samples);
-
 /// The monte_carlo_scenarios batch by index: scenario i is stream sample
-/// options.first_sample + i.  Draws through `table` when given (built from
-/// the same graph, ranges/spread and resolution), else through the
-/// computed grid.  Lane rows come from the table's int64 image when it
+/// options.first_sample + i, drawn through `table` (the grid of the same
+/// graph, ranges/spread and resolution; see scenario_engine::
+/// sampling_table).  Lane rows come from the table's int64 image when it
 /// exists and fits, and the options have no correlated model; every other
-/// case builds each scenario's rationals.  `sg` must outlive the source.
+/// case builds each scenario's rationals, from the cells when the table
+/// has them.  `sg` must outlive the source.
 class monte_carlo_source final : public scenario_source {
 public:
     monte_carlo_source(const signal_graph& sg, const monte_carlo_options& options,
-                       std::shared_ptr<const monte_carlo_table> table = nullptr);
+                       std::shared_ptr<const monte_carlo_table> table);
 
     /// Moves the batch to stream samples [first_sample, first_sample +
     /// samples): the statistics rounds walk one stream this way.
@@ -545,11 +591,9 @@ public:
                              fixed_point_domain& out) const override;
 
 private:
-    struct grid;
     const signal_graph* sg_;
     monte_carlo_options options_;
     std::shared_ptr<const monte_carlo_table> table_;
-    std::shared_ptr<const grid> grid_; ///< the computed grid, when no table
 };
 
 } // namespace tsg

@@ -33,29 +33,14 @@ struct analysis_service::pending {
 /// One immutable compiled snapshot of a design.  The graph lives on the
 /// heap behind a shared_ptr so its address is stable for the lifetime of
 /// every rebind, even after the version is evicted from the chain while a
-/// worker still analyzes it.
+/// worker still analyzes it.  The engine owns the snapshot's caches (the
+/// nominal cycle time and the Monte Carlo sampling tables), shared by every
+/// worker that serves this version.
 struct analysis_service::design_version {
     std::uint64_t version = 0;
     std::shared_ptr<const signal_graph> graph;
     std::unique_ptr<const compiled_graph> compiled;
     std::unique_ptr<scenario_engine> engine;
-
-    std::mutex nominal_mutex;
-    bool nominal_ready = false;
-    rational nominal; ///< lambda/makespan at the snapshot's own delays
-
-    /// Monte Carlo sampling tables, keyed by the only request knobs that
-    /// shape the grid (spread, resolution).  Serving requests resample the
-    /// same immutable snapshot over and over; sharing the materialized
-    /// grid turns per-delay rational arithmetic into indexed copies, and
-    /// its int64 image lets fixed-size `montecarlo`, adaptive `montecarlo`
-    /// and `criticality` draw lane rows straight from it
-    /// (core/scenario.h: monte_carlo_table, monte_carlo_source).
-    std::mutex mc_mutex;
-    std::map<std::pair<std::string, std::int64_t>,
-             std::shared_ptr<const monte_carlo_table>>
-        mc_tables;
-
     std::uint64_t last_used = 0; ///< registry use tick, for LRU eviction
 };
 
@@ -221,54 +206,6 @@ std::uint64_t analysis_service::commit_version(design_entry& entry,
         evictions_.fetch_add(1, std::memory_order_relaxed);
     }
     return entry.versions.back()->version;
-}
-
-rational analysis_service::nominal_of(design_version& version,
-                                      const request_options& options)
-{
-    // The nominal lambda is solver- and thread-independent (exact
-    // rational), so one cached evaluation serves every request.
-    std::lock_guard<std::mutex> lk(version.nominal_mutex);
-    if (!version.nominal_ready) {
-        version.nominal = version.engine
-                              ->evaluate(version.compiled->delay(), /*with_slack=*/false,
-                                         options.max_threads, options.solver)
-                              .cycle_time;
-        version.nominal_ready = true;
-    }
-    return version.nominal;
-}
-
-std::shared_ptr<const monte_carlo_table> analysis_service::table_for(
-    design_version& version, const analysis_request& request)
-{
-    // Oversized grids (huge resolution or arc count) skip the cache; their
-    // runs build or compute their own.
-    const monte_carlo_options mo = request.options.to_monte_carlo_options();
-    if (!monte_carlo_table_fits(*version.graph, mo)) return nullptr;
-    const auto key = std::make_pair(mo.spread.str(), mo.resolution);
-    {
-        std::lock_guard<std::mutex> lk(version.mc_mutex);
-        const auto it = version.mc_tables.find(key);
-        if (it != version.mc_tables.end()) return it->second;
-    }
-    auto built =
-        std::make_shared<const monte_carlo_table>(build_monte_carlo_table(*version.graph, mo));
-    std::lock_guard<std::mutex> lk(version.mc_mutex);
-    // A concurrent builder may have won the race; keep its table.  The map
-    // stays tiny (one entry per distinct client grid), but cap it against
-    // pathological clients.
-    if (version.mc_tables.size() >= 16) version.mc_tables.clear();
-    return version.mc_tables.emplace(key, std::move(built)).first->second;
-}
-
-std::unique_ptr<scenario_source> analysis_service::scenarios_for(
-    design_version& version, const analysis_request& request)
-{
-    return request_source(request, *version.graph,
-                          request.kind == request_kind::montecarlo
-                              ? table_for(version, request)
-                              : nullptr);
 }
 
 // --- submission --------------------------------------------------------------
@@ -533,16 +470,12 @@ void analysis_service::handle(pending job)
         default: {
             // analyze, criticality, adaptive montecarlo, optimize and
             // report_topk run solo — their work does not decompose into
-            // mergeable scenarios.  The statistics kinds draw through the
-            // version's cached table.
+            // mergeable scenarios.
             const std::shared_ptr<design_version> version = resolve(job.request.design);
             response.design_version = version->version;
-            const bool statistics = job.request.kind == request_kind::criticality ||
-                                    job.request.kind == request_kind::montecarlo;
             response.payload = execute_analysis_payload(
                 job.request, *version->graph, *version->compiled, *version->engine,
-                job.deadline, statistics ? table_for(*version, job.request) : nullptr,
-                &response.scenarios);
+                job.deadline, &response.scenarios);
             scenarios_.fetch_add(response.scenarios, std::memory_order_relaxed);
             break;
         }
@@ -590,7 +523,7 @@ void analysis_service::handle_batch(pending first)
     std::vector<std::unique_ptr<scenario_source>> parts;
     try {
         version = resolve(first.request.design);
-        parts.push_back(scenarios_for(*version, first.request));
+        parts.push_back(request_source(first.request, *version->engine));
     } catch (const std::exception& e) {
         finish(first, respond_exception(first, e));
         return;
@@ -636,7 +569,7 @@ void analysis_service::handle_batch(pending first)
                 continue;
             }
             try {
-                parts.push_back(scenarios_for(*version, partner.request));
+                parts.push_back(request_source(partner.request, *version->engine));
                 jobs.push_back(std::move(partner));
             } catch (const std::exception& e) {
                 finish(partner, respond_exception(partner, e));
@@ -673,7 +606,7 @@ void analysis_service::handle_batch(pending first)
     rational nominal;
     scenario_batch_result batch;
     try {
-        nominal = nominal_of(*version, live[0].request.options);
+        nominal = version->engine->nominal(live[0].request.options.max_threads);
         batch = version->engine->run(merged, live[0].request.options.to_batch_options());
     } catch (const std::exception& e) {
         for (pending& job : live) finish(job, respond_exception(job, e));

@@ -11,6 +11,9 @@
 //
 //   * register_design() compiles a signal graph into version 1 of a chain
 //     (registering the same id again appends the next version);
+//   * each version's scenario_engine owns the snapshot's caches — the
+//     nominal cycle time and the Monte Carlo sampling tables — so every
+//     worker and request on that version shares them (core/scenario.h);
 //   * kind::edit requests run the JSON edit script through an
 //     incremental_engine seeded from the latest version and commit the
 //     edited structure as a new immutable version; older versions stay
@@ -281,16 +284,6 @@ private:
     [[nodiscard]] std::shared_ptr<design_entry> entry_of(const std::string& id);
     std::uint64_t commit_version(design_entry& entry,
                                  std::shared_ptr<const signal_graph> graph);
-    [[nodiscard]] rational nominal_of(design_version& version,
-                                      const request_options& options);
-    /// The version's cached sampling table of `request`'s Monte Carlo grid
-    /// (built on first use); null when the grid is too large to cache.
-    [[nodiscard]] std::shared_ptr<const monte_carlo_table> table_for(
-        design_version& version, const analysis_request& request);
-    /// The batch of a coalescable request, drawn through table_for.
-    [[nodiscard]] std::unique_ptr<scenario_source> scenarios_for(
-        design_version& version, const analysis_request& request);
-
     [[nodiscard]] std::string edit_payload(pending& job, std::uint64_t& out_version);
 
     service_options options_;

@@ -273,18 +273,16 @@ void check_deadline(std::chrono::steady_clock::time_point deadline, std::size_t 
 }
 
 std::size_t monte_carlo_rounds(
-    const scenario_engine& engine, const signal_graph& sg, const monte_carlo_options& mc,
-    std::shared_ptr<const monte_carlo_table> table, std::size_t samples,
+    const scenario_engine& engine, const monte_carlo_options& mc, std::size_t samples,
     std::size_t round_samples, const scenario_batch_options& batch,
     std::chrono::steady_clock::time_point deadline,
     const std::function<bool(const scenario_batch_result&, std::size_t first)>& fold)
 {
     if (samples == 0) return 0;
-    if (!table) table = monte_carlo_run_table(sg, mc, samples);
     const std::size_t round = round_samples > 0 ? round_samples : 256;
     monte_carlo_options window = mc;
     window.samples = std::min(round, samples);
-    monte_carlo_source source(sg, window, std::move(table));
+    monte_carlo_source source(engine.base().source(), window, engine.sampling_table(mc, samples));
     std::size_t have = 0;
     while (have < samples) {
         check_deadline(deadline, have, "samples");
@@ -303,7 +301,6 @@ stats_run_result run_monte_carlo(const scenario_engine& engine, const signal_gra
                                  const monte_carlo_options& mc, const stats_options& options,
                                  bool adaptive, std::size_t fixed_samples)
 {
-    require(options.histogram_bins > 0, "stats: histogram_bins must be positive");
     require(options.quantile <= 1.0, "stats: quantile must lie in [0, 1] (negative: mean)");
     require(!options.yield_objective || rational(0) < options.yield_target,
             "stats: yield_objective requires a positive yield_target");
@@ -312,24 +309,15 @@ stats_run_result run_monte_carlo(const scenario_engine& engine, const signal_gra
         require(options.max_samples > 0, "monte_carlo_adaptive: max_samples must be positive");
     }
 
-    const compiled_graph& base = engine.base();
     const bool criticality = options.criticality || options.group_by_signal;
 
     stats_run_result out;
     out.adaptive = adaptive;
     out.target_half_width = adaptive ? options.epsilon : 0.0;
-    out.nominal_cycle_time =
-        engine.evaluate(base.delay(), /*with_slack=*/false, options.max_threads,
-                        options.solver, /*with_witness=*/false)
-            .cycle_time;
-
-    rational lo = options.histogram_lo;
-    rational hi = options.histogram_hi;
-    if (!(lo < hi)) {
-        lo = rational(0);
-        hi = out.nominal_cycle_time.is_zero() ? rational(1) : out.nominal_cycle_time * 2;
-    }
-    out.stats = stats_accumulator(base.delay().size(), options.histogram_bins, lo, hi);
+    out.nominal_cycle_time = engine.nominal(options.max_threads);
+    out.stats = stats_accumulator(
+        engine.base().delay().size(), stats_histogram_bins, rational(0),
+        out.nominal_cycle_time.is_zero() ? rational(1) : out.nominal_cycle_time * 2);
     if (options.group_by_signal) out.stats.set_groups(signal_arc_groups(sg));
     if (rational(0) < options.yield_target) out.stats.set_yield_target(options.yield_target);
 
@@ -346,16 +334,14 @@ stats_run_result run_monte_carlo(const scenario_engine& engine, const signal_gra
     require(cap > 0, "stats: no samples requested");
 
     const auto target_half_width = [&]() {
-        if (options.yield_objective)
-            return out.stats.yield_ci_half_width(options.confidence_z);
+        if (options.yield_objective) return out.stats.yield_ci_half_width(stats_confidence_z);
         return options.quantile < 0.0
-                   ? out.stats.mean_ci_half_width(options.confidence_z)
-                   : out.stats.quantile_ci_half_width(options.quantile,
-                                                      options.confidence_z);
+                   ? out.stats.mean_ci_half_width(stats_confidence_z)
+                   : out.stats.quantile_ci_half_width(options.quantile, stats_confidence_z);
     };
 
     monte_carlo_rounds(
-        engine, sg, mc, options.table, cap, options.round_samples, bopts, options.deadline,
+        engine, mc, cap, options.round_samples, bopts, options.deadline,
         [&](const scenario_batch_result& batch, std::size_t) {
             out.stats.accumulate(batch);
             ++out.rounds;

@@ -17,6 +17,9 @@
 //     confidence intervals.
 //   * monte_carlo_statistics — fixed-size runs evaluated in streaming
 //     rounds (monte_carlo_rounds: draw a round, evaluate, fold, discard).
+//     Every run draws through the engine's sampling table of its grid and
+//     anchors its histogram on the engine's nominal cycle time, both
+//     computed once per engine (core/scenario.h).
 //   * monte_carlo_adaptive — grows the run round by round until the
 //     confidence interval of the chosen target statistic (the lambda mean,
 //     or a quantile) is narrower than stats_options::epsilon, or a sample
@@ -46,7 +49,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,21 +58,17 @@
 
 namespace tsg {
 
+/// Histogram bins of every statistics run; the support is
+/// [0, 2 * nominal cycle time] ([0, 1] when the nominal is zero).  Samples
+/// outside it land in the underflow/overflow tallies, and quantile
+/// estimates clamp to the observed exact min/max.
+inline constexpr std::size_t stats_histogram_bins = 64;
+
+/// Two-sided normal quantile of every confidence interval this layer (and
+/// statistical top-K and optimize) reports: 95%.
+inline constexpr double stats_confidence_z = 1.959963984540054;
+
 struct stats_options {
-    /// Fixed-bin histogram resolution for quantile estimation.
-    std::size_t histogram_bins = 64;
-
-    /// Histogram support [lo, hi].  hi <= lo derives the default
-    /// [0, 2 * nominal cycle time] (or [0, 1] on zero-delay models).
-    /// Samples outside the support land in underflow/overflow tallies and
-    /// quantile estimates clamp to the observed exact min/max.
-    rational histogram_lo = rational(0);
-    rational histogram_hi = rational(0);
-
-    /// Two-sided normal quantile for every confidence interval this layer
-    /// reports (default: 95%).
-    double confidence_z = 1.959963984540054;
-
     /// Adaptive target: stop when the CI half-width of the target
     /// statistic drops to epsilon or below.  Must be > 0 for
     /// monte_carlo_adaptive; ignored by fixed-size runs.
@@ -116,11 +114,6 @@ struct stats_options {
     unsigned max_threads = 0;
     unsigned lane_width = 0;
     cycle_time_solver solver = cycle_time_solver::auto_select;
-
-    /// The sampling table of the run's grid, when the caller caches one
-    /// (the analysis service keeps one per design version and grid).  Null
-    /// builds one per run under monte_carlo_run_table's rule.
-    std::shared_ptr<const monte_carlo_table> table;
 
     /// Optional wall-clock deadline for streaming runs.  The epoch default
     /// means "none".  Checked between rounds (never inside one, so results
@@ -300,8 +293,8 @@ private:
 struct stats_run_result {
     stats_accumulator stats;
 
-    /// Cycle time at the engine's nominal delays (also the anchor of the
-    /// default histogram support).
+    /// The engine's nominal cycle time (scenario_engine::nominal(), also
+    /// the anchor of the histogram support).
     rational nominal_cycle_time;
 
     std::size_t rounds = 0; ///< streaming rounds evaluated
@@ -331,13 +324,11 @@ void check_deadline(std::chrono::steady_clock::time_point deadline, std::size_t 
 /// samples) in rounds of at most `round_samples` (0: 256, a multiple of
 /// every lane width), checking `deadline` before each, and hands each
 /// round and its run offset to `fold`, which returns whether to go on.
-/// Every round runs one window of a monte_carlo_source, drawn through
-/// `table` (which must match mc's grid) or, when null, the table of
-/// monte_carlo_run_table's rule; the rounds are bit-identical either way.
-/// Returns the samples evaluated.
+/// Every round runs one window of a monte_carlo_source, drawn through the
+/// engine's sampling table for mc's grid and `samples`
+/// (scenario_engine::sampling_table).  Returns the samples evaluated.
 std::size_t monte_carlo_rounds(
-    const scenario_engine& engine, const signal_graph& sg, const monte_carlo_options& mc,
-    std::shared_ptr<const monte_carlo_table> table, std::size_t samples,
+    const scenario_engine& engine, const monte_carlo_options& mc, std::size_t samples,
     std::size_t round_samples, const scenario_batch_options& batch,
     std::chrono::steady_clock::time_point deadline,
     const std::function<bool(const scenario_batch_result&, std::size_t first)>& fold);

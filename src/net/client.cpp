@@ -20,6 +20,13 @@ namespace tsg::net {
 
 namespace {
 
+/// First step of the exponential backoff (client_options::backoff_cap).
+constexpr std::chrono::milliseconds backoff_base{2};
+/// Outstanding requests per connection.
+constexpr std::size_t max_pipeline = 32;
+/// Bound on one blocking read for a response line.
+constexpr std::chrono::milliseconds response_timeout{10000};
+
 /// Pulls the pieces the retry policy needs out of one response line.
 /// A line that fails to parse as a response document is treated as an
 /// internal error (the daemon never emits one — a mangled line means the
@@ -135,7 +142,7 @@ bool client::send_line(const std::string& line)
 bool client::read_line(std::string& line)
 {
     if (fd_ < 0) return false;
-    const auto deadline = std::chrono::steady_clock::now() + options_.response_timeout;
+    const auto deadline = std::chrono::steady_clock::now() + response_timeout;
     for (;;) {
         const std::size_t pos = read_buffer_.find('\n');
         if (pos != std::string::npos) {
@@ -178,7 +185,7 @@ bool client::read_line(std::string& line)
 
 std::chrono::milliseconds client::backoff_delay(unsigned attempt, std::uint64_t hint_ms)
 {
-    const auto base = static_cast<double>(options_.backoff_base.count());
+    const auto base = static_cast<double>(backoff_base.count());
     const double exp = base * static_cast<double>(1ULL << std::min(attempt, 20u));
     const double capped = std::min(exp, static_cast<double>(options_.backoff_cap.count()));
     // Jitter in [0.5, 1.0]: desynchronizes a fleet of retrying clients
@@ -186,52 +193,6 @@ std::chrono::milliseconds client::backoff_delay(unsigned attempt, std::uint64_t 
     const double jittered = capped * (0.5 + 0.5 * jitter_.uniform01());
     const double with_hint = std::max(jittered, static_cast<double>(hint_ms));
     return std::chrono::milliseconds(static_cast<std::int64_t>(with_hint));
-}
-
-call_outcome client::call(const analysis_request& request)
-{
-    const std::string line = analysis_request_json(request).write() + "\n";
-    const auto started = std::chrono::steady_clock::now();
-    call_outcome outcome;
-    ++metrics_.requests;
-
-    for (unsigned attempt = 1;; ++attempt) {
-        outcome.attempts = attempt;
-        std::uint64_t hint_ms = 0;
-        bool lost = false;
-
-        if (!ensure_connected()) {
-            lost = true;
-        } else {
-            if (!send_line(line) || !read_line(outcome.response.payload)) {
-                lost = true;
-            } else {
-                outcome.response = parse_response_line(outcome.response.payload);
-                ++metrics_.responses;
-                if (outcome.response.ok || !retryable(outcome.response.error)) break;
-                ++outcome.sheds;
-                ++metrics_.sheds_seen;
-                hint_ms = outcome.response.error.retry_after_ms;
-            }
-        }
-        if (lost) {
-            ++outcome.reconnects;
-            ++metrics_.reconnects;
-            outcome.response.ok = false;
-            outcome.response.id = request.id;
-            outcome.response.error = {"internal", "connection lost before a response"};
-        }
-        if (attempt >= options_.max_attempts) {
-            ++metrics_.gave_up;
-            break;
-        }
-        ++metrics_.retries;
-        std::this_thread::sleep_for(backoff_delay(attempt, hint_ms));
-    }
-    outcome.latency_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - started)
-                             .count();
-    return outcome;
 }
 
 /// One request of a call_many batch: where it is in its retry life.
@@ -275,6 +236,12 @@ std::vector<call_outcome> client::call_many(const std::vector<analysis_request>&
                                  .count();
         --unresolved;
     };
+    const auto lost = [&](const slot& s) {
+        analysis_response response;
+        response.id = requests[s.index].id;
+        response.error = {"internal", "connection lost before a response"};
+        return response;
+    };
     const auto requeue_or_give_up = [&](slot s, const analysis_response& last,
                                         std::uint64_t hint_ms) {
         if (s.attempts >= options_.max_attempts) {
@@ -293,7 +260,7 @@ std::vector<call_outcome> client::call_many(const std::vector<analysis_request>&
         // Fill the pipeline with every eligible queued request.
         bool sent_any = false;
         for (auto it = sendq.begin();
-             it != sendq.end() && outstanding.size() < options_.max_pipeline;) {
+             it != sendq.end() && outstanding.size() < max_pipeline;) {
             if (it->eligible > now) {
                 ++it;
                 continue;
@@ -304,10 +271,8 @@ std::vector<call_outcome> client::call_many(const std::vector<analysis_request>&
             if (!ensure_connected() || !send_line(s.line)) {
                 ++s.reconnects;
                 ++metrics_.reconnects;
-                analysis_response lost;
-                lost.ok = false;
-                lost.error = {"internal", "connection lost before a response"};
-                requeue_or_give_up(std::move(s), lost, 0);
+                const analysis_response last = lost(s);
+                requeue_or_give_up(std::move(s), last, 0);
                 break; // the connection is down; let the loop re-dial
             }
             outstanding.push_back(std::move(s));
@@ -325,10 +290,8 @@ std::vector<call_outcome> client::call_many(const std::vector<analysis_request>&
                     outstanding.pop_front();
                     ++s.reconnects;
                     ++metrics_.reconnects;
-                    analysis_response lost;
-                    lost.ok = false;
-                    lost.error = {"internal", "connection lost before a response"};
-                    requeue_or_give_up(std::move(s), lost, 0);
+                    const analysis_response last = lost(s);
+                    requeue_or_give_up(std::move(s), last, 0);
                 }
                 continue;
             }
@@ -356,6 +319,11 @@ std::vector<call_outcome> client::call_many(const std::vector<analysis_request>&
         }
     }
     return outcomes;
+}
+
+call_outcome client::call(const analysis_request& request)
+{
+    return std::move(call_many({request}).front());
 }
 
 } // namespace tsg::net

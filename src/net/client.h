@@ -11,7 +11,7 @@
 //   * connect / reconnect to 127.0.0.1:port with a bounded dial retry
 //     (a restarting daemon is briefly not listening — that gap is
 //     retryable, not fatal);
-//   * pipelined NDJSON: up to max_pipeline requests in flight on one
+//   * pipelined NDJSON: up to 32 requests in flight on one
 //     connection.  The server answers in request order per connection,
 //     so responses complete outstanding requests FIFO; a connection loss
 //     makes every outstanding request a retry candidate (the daemon
@@ -24,8 +24,8 @@
 //     (bad_request, unknown_design, deadline_exceeded, ...) come back
 //     immediately.
 //
-// call() is the one-request convenience; call_many() pipelines a whole
-// batch and converges it to completion.  Both are synchronous and
+// call_many() pipelines a whole batch and converges it to completion;
+// call() is call_many() of one request.  Both are synchronous and
 // single-threaded by design: a load generator runs one client per
 // thread (bench_serve's retry round), a CAD session runs one, period.
 #ifndef TSG_NET_CLIENT_H
@@ -50,20 +50,12 @@ struct client_options {
     unsigned max_attempts = 8;
 
     /// Exponential backoff schedule: attempt k sleeps
-    /// min(base * 2^(k-1), cap) scaled by a jitter factor in [0.5, 1.0],
-    /// or the server's retry_after_ms hint when that is larger.
-    std::chrono::milliseconds backoff_base{2};
+    /// min(2 ms * 2^k, cap) scaled by a jitter factor in [0.5, 1.0], or
+    /// the server's retry_after_ms hint when that is larger.
     std::chrono::milliseconds backoff_cap{250};
 
     /// Jitter seed — deterministic streams for reproducible tests.
     std::uint64_t jitter_seed = 0x74736721ULL;
-
-    /// Outstanding requests per connection in call_many().
-    std::size_t max_pipeline = 32;
-
-    /// Bound on one blocking read for a response line.  Expired reads
-    /// count as a connection loss (the connection is rebuilt).
-    std::chrono::milliseconds response_timeout{10000};
 
     /// Bound on one connect() dial; a refused dial backs off and retries
     /// within the same attempt budget.
@@ -100,17 +92,19 @@ public:
     /// True when a response's structured error invites a retry.
     [[nodiscard]] static bool retryable(const api_error& error);
 
-    /// Sends one request and converges it: retryable sheds and transport
-    /// losses are retried under the backoff policy; the returned outcome
-    /// holds the final response (ok, terminal error, or the last
-    /// retryable error once the budget is spent).
-    call_outcome call(const analysis_request& request);
-
-    /// Pipelines `requests` (up to max_pipeline outstanding) and
-    /// converges every one of them.  Outcomes are returned in input
-    /// order.  Requests are never abandoned early: a retryable shed goes
-    /// back into the send queue until it serves or exhausts its budget.
+    /// Pipelines `requests` (up to 32 outstanding) and converges every
+    /// one of them: retryable sheds and transport losses are retried
+    /// under the backoff policy.  Outcomes are returned in input order,
+    /// each holding its final response (ok, terminal error, or the last
+    /// retryable error once the budget is spent), which always carries
+    /// the request's id.  Requests are never abandoned early: a retryable
+    /// shed goes back into the send queue until it serves or exhausts its
+    /// budget.  An expired read (10 s without a response line) counts as
+    /// a connection loss.
     std::vector<call_outcome> call_many(const std::vector<analysis_request>& requests);
+
+    /// call_many() of one request.
+    call_outcome call(const analysis_request& request);
 
     [[nodiscard]] const client_metrics& metrics() const { return metrics_; }
 

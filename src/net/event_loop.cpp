@@ -27,6 +27,9 @@ constexpr std::uint64_t k_listener_tag = 0;
 constexpr std::uint64_t k_bus_tag = 1;
 constexpr std::uint64_t k_drain_tag = 2;
 
+/// Pending connections the kernel queues before accept().
+constexpr int k_listen_backlog = 64;
+
 void throw_errno(const char* what)
 {
     throw error(std::string(what) + ": " + std::strerror(errno));
@@ -178,7 +181,7 @@ event_loop_server::event_loop_server(analysis_service& service, event_loop_optio
         errno = saved;
         throw_errno("bind");
     }
-    if (::listen(listen_fd_, options_.listen_backlog) != 0) {
+    if (::listen(listen_fd_, k_listen_backlog) != 0) {
         const int saved = errno;
         ::close(listen_fd_);
         listen_fd_ = -1;

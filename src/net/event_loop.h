@@ -58,7 +58,6 @@ struct event_loop_options {
     /// 127.0.0.1 listening port; 0 binds an ephemeral port (port()
     /// reports the bound one — the test harness's mode).
     std::uint16_t port = 0;
-    int listen_backlog = 64;
 
     /// Accepted connections beyond this are answered with one
     /// "overloaded" error line and closed immediately.

@@ -34,6 +34,11 @@
 #include "service_test_harness.h"
 #include "util/json.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 namespace tsg {
 namespace {
 
@@ -329,6 +334,43 @@ TEST(Chaos, QuotaExhaustionShedsWithRetryHintsAndClientConverges)
         EXPECT_TRUE(outcomes[i].response.ok)
             << work[i].id << ": " << outcomes[i].response.error.code;
     EXPECT_EQ(cl.metrics().gave_up, 0u);
+}
+
+TEST(Chaos, ClientGivingUpOnADeadPortAnswersWithTheRequestId)
+{
+    // A loopback socket bound but never listening: every dial is refused,
+    // and no other process can take the port while the test holds it.
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = ::htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+    net::client_options copts;
+    copts.port = ntohs(addr.sin_port);
+    copts.max_attempts = 2;
+    copts.dial_timeout = std::chrono::milliseconds(5);
+    net::client cl(copts);
+    const auto expect_given_up = [](const net::call_outcome& outcome, const std::string& id) {
+        EXPECT_FALSE(outcome.response.ok) << id;
+        EXPECT_EQ(outcome.response.error.code, "internal") << id;
+        EXPECT_EQ(outcome.response.id, id);
+        EXPECT_EQ(outcome.attempts, 2u) << id;
+        EXPECT_EQ(outcome.reconnects, 2u) << id;
+    };
+    expect_given_up(cl.call(make_request(request_kind::analyze, "solo")), "solo");
+    const std::vector<net::call_outcome> many = cl.call_many(
+        {make_request(request_kind::analyze, "m0"), make_request(request_kind::analyze, "m1")});
+    ASSERT_EQ(many.size(), 2u);
+    expect_given_up(many[0], "m0");
+    expect_given_up(many[1], "m1");
+    EXPECT_EQ(cl.metrics().requests, 3u);
+    EXPECT_EQ(cl.metrics().gave_up, 3u);
+    EXPECT_EQ(cl.metrics().responses, 0u);
+    ::close(fd);
 }
 
 TEST(Chaos, PerConnectionRateLimitShedsWithHintsAndSparesProbes)

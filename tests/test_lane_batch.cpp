@@ -121,17 +121,27 @@ void expect_source_matches_batch(const signal_graph& sg, const scenario_source& 
 
 /// expect_source_matches_batch for every batch size from 1 to 17 (every
 /// tail length of every width, every below-width batch) of one Monte Carlo
-/// grid, drawn through `table` (whose image use must equal `imaged`).
+/// grid, drawn through its table with cells and through one without (its
+/// scalar rows computed), whose image use must equal `imaged` either way.
 void expect_monte_carlo_source_matches(const signal_graph& sg, monte_carlo_options mc,
-                                       const monte_carlo_table& table, bool imaged)
+                                       bool imaged)
 {
-    const auto shared = std::make_shared<const monte_carlo_table>(table);
-    for (std::size_t samples = 1; samples <= 17; ++samples) {
-        mc.samples = samples;
-        const monte_carlo_source source(sg, mc, shared);
-        fixed_point_domain domain;
-        EXPECT_EQ(source.image(0, sweep_periods(sg), domain), imaged);
-        expect_source_matches_batch(sg, source, monte_carlo_scenarios(sg, mc));
+    const compiled_graph base(sg);
+    const std::shared_ptr<const monte_carlo_table> tables[] = {
+        std::make_shared<const monte_carlo_table>(build_monte_carlo_table(sg, mc)),
+        scenario_engine(base).sampling_table(mc, 1)};
+    ASSERT_FALSE(tables[0]->values.empty());
+    ASSERT_TRUE(tables[1]->values.empty());
+    for (const std::shared_ptr<const monte_carlo_table>& table : tables) {
+        SCOPED_TRACE(table->values.empty() ? "without cells" : "with cells");
+        EXPECT_EQ(table->scale != 0, imaged || !mc.model.sources.empty());
+        for (std::size_t samples = 1; samples <= 17; ++samples) {
+            mc.samples = samples;
+            const monte_carlo_source source(sg, mc, table);
+            fixed_point_domain domain;
+            EXPECT_EQ(source.image(0, sweep_periods(sg), domain), imaged);
+            expect_source_matches_batch(sg, source, monte_carlo_scenarios(sg, mc));
+        }
     }
 }
 
@@ -142,15 +152,14 @@ TEST(LaneBatch, MonteCarloSourceImageMatchesTheBatchOnEveryGridShape)
     mc.seed = 99;
     {
         SCOPED_TRACE("default spread");
-        expect_monte_carlo_source_matches(sg, mc, build_monte_carlo_table(sg, mc), true);
+        expect_monte_carlo_source_matches(sg, mc, true);
     }
     {
         SCOPED_TRACE("explicit ranges");
         monte_carlo_options ranged = mc;
         for (arc_id a = 0; a < sg.arc_count(); ++a)
             ranged.ranges.push_back({sg.arc(a).delay, sg.arc(a).delay + rational(1, 2)});
-        expect_monte_carlo_source_matches(sg, ranged, build_monte_carlo_table(sg, ranged),
-                                          true);
+        expect_monte_carlo_source_matches(sg, ranged, true);
 
         // Arc 0's grid needs lo.den * span.den = 2^70, past int64: its cells
         // come from the exact rational fallback, and their 2^40 denominator
@@ -158,9 +167,7 @@ TEST(LaneBatch, MonteCarloSourceImageMatchesTheBatchOnEveryGridShape)
         SCOPED_TRACE("2^70 fallback arc");
         const rational lo(1, std::int64_t{1} << 40);
         ranged.ranges[0] = {lo, lo + rational(1, std::int64_t{1} << 30)};
-        const monte_carlo_table table = build_monte_carlo_table(sg, ranged);
-        EXPECT_EQ(table.scale, 0);
-        expect_monte_carlo_source_matches(sg, ranged, table, false);
+        expect_monte_carlo_source_matches(sg, ranged, false);
     }
     {
         SCOPED_TRACE("correlated delay_model");
@@ -171,14 +178,13 @@ TEST(LaneBatch, MonteCarloSourceImageMatchesTheBatchOnEveryGridShape)
             vdd.sensitivity.push_back(rational(static_cast<std::int64_t>(a % 3), 10));
         correlated.model.sources.push_back(vdd);
         correlated.model.resolution = 8;
-        expect_monte_carlo_source_matches(sg, correlated,
-                                          build_monte_carlo_table(sg, correlated), false);
+        expect_monte_carlo_source_matches(sg, correlated, false);
     }
     {
         SCOPED_TRACE("first_sample");
         monte_carlo_options later = mc;
         later.first_sample = 1000;
-        expect_monte_carlo_source_matches(sg, later, build_monte_carlo_table(sg, later), true);
+        expect_monte_carlo_source_matches(sg, later, true);
     }
 }
 
@@ -244,6 +250,50 @@ TEST(LaneBatch, SourcesWithoutAFittingImageEvictLikeTheBatch)
         EXPECT_GT(run.lane_evictions, 0u);
         EXPECT_LT(run.lane_evictions, run.lane_groups * 8);
     }
+}
+
+TEST(LaneBatch, ConcatMixesImageLanesAndRationalLanesInOneGroup)
+{
+    // A spread grid's samples arrive as image rows; a correlated model's
+    // source has no image, so its samples pack from their rationals, which
+    // fit.  Four of each fill one lane group of 8, and every lane's answer
+    // is kept: none is evicted.
+    const signal_graph sg = random_fractional_graph(7, 8);
+    const compiled_graph base(sg);
+    const scenario_engine engine(base);
+    monte_carlo_options imaged;
+    imaged.seed = 99;
+    imaged.samples = 4;
+    monte_carlo_options correlated = imaged;
+    correlated.seed = 7;
+    delay_model::source vdd;
+    vdd.name = "Vdd";
+    for (arc_id a = 0; a < sg.arc_count(); ++a)
+        vdd.sensitivity.push_back(rational(static_cast<std::int64_t>(a % 3), 10));
+    correlated.model.sources.push_back(vdd);
+    correlated.model.resolution = 8;
+    const monte_carlo_source image_part(sg, imaged, engine.sampling_table(imaged, 4));
+    const monte_carlo_source rational_part(sg, correlated, engine.sampling_table(correlated, 4));
+    fixed_point_domain domain;
+    ASSERT_TRUE(image_part.image(0, sweep_periods(sg), domain));
+    ASSERT_FALSE(rational_part.image(0, sweep_periods(sg), domain));
+
+    scenario_concat merged;
+    merged.add(image_part);
+    merged.add(rational_part);
+    std::vector<scenario> batch = monte_carlo_scenarios(sg, imaged);
+    const std::vector<scenario> rest = monte_carlo_scenarios(sg, correlated);
+    batch.insert(batch.end(), rest.begin(), rest.end());
+    expect_source_matches_batch(sg, merged, batch);
+
+    scenario_batch_options lanes;
+    lanes.solver = cycle_time_solver::border_sweep;
+    lanes.lane_width = 8;
+    const scenario_batch_result run = engine.run(merged, lanes);
+    EXPECT_EQ(run.lane_groups, 1u);
+    EXPECT_EQ(run.lane_scenarios, 8u);
+    EXPECT_EQ(run.lane_evictions, 0u);
+    EXPECT_EQ(run.scalar_scenarios, 0u);
 }
 
 TEST(LaneBatch, CornerSweepSourceImageMatchesTheBatch)

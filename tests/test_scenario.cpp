@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "circuit/explorer.h"
 #include "core/compiled_graph.h"
@@ -176,36 +179,78 @@ TEST(Scenario, MonteCarloIsReproducibleUnderAFixedSeed)
     }
 }
 
+/// Every image row `source` draws is its rational row at the image's scale;
+/// returns how many samples had an image.
+std::size_t expect_image_rows_scale_exactly(const monte_carlo_source& source)
+{
+    std::size_t imaged = 0;
+    std::vector<rational> scratch;
+    fixed_point_domain domain;
+    for (std::size_t i = 0; i < source.size(); ++i) {
+        if (!source.image(i, 1, domain)) continue;
+        ++imaged;
+        const std::vector<rational>& row = source.delays(i, scratch);
+        EXPECT_EQ(domain.scaled.size(), row.size()) << i;
+        for (arc_id a = 0; a < std::min(row.size(), domain.scaled.size()); ++a)
+            EXPECT_EQ(rational(domain.scaled[a], domain.scale), row[a]) << i << ", arc " << a;
+    }
+    return imaged;
+}
+
 TEST(Scenario, MonteCarloTableMatchesComputedSamplingOnEveryGridShape)
 {
     const signal_graph sg = random_fractional_graph(7, 16);
-    const auto expect_same = [&](const monte_carlo_options& mc) {
+    const compiled_graph base(sg);
+    // Draws through the table with cells, through one without (computed
+    // rows: one sample asked for), and the table-free batch all agree, and
+    // both tables' image rows scale their rational rows exactly.
+    const auto expect_same = [&](const monte_carlo_options& mc, bool imaged) {
         const std::vector<scenario> computed = monte_carlo_scenarios(sg, mc);
-        const std::vector<scenario> tabled =
-            monte_carlo_scenarios(sg, mc, build_monte_carlo_table(sg, mc));
+        const monte_carlo_table cells = build_monte_carlo_table(sg, mc);
+        const std::vector<scenario> tabled = monte_carlo_scenarios(sg, mc, cells);
         EXPECT_EQ(computed.size(), mc.samples);
         EXPECT_EQ(tabled.size(), mc.samples);
         for (std::size_t i = 0; i < std::min(computed.size(), tabled.size()); ++i) {
             EXPECT_EQ(computed[i].label, tabled[i].label) << i;
             EXPECT_EQ(computed[i].delay, tabled[i].delay) << i;
         }
+        const std::shared_ptr<const monte_carlo_table> tables[] = {
+            std::make_shared<const monte_carlo_table>(cells),
+            scenario_engine(base).sampling_table(mc, 1)};
+        EXPECT_FALSE(tables[0]->values.empty());
+        EXPECT_TRUE(tables[1]->values.empty());
+        for (const std::shared_ptr<const monte_carlo_table>& table : tables) {
+            SCOPED_TRACE(table->values.empty() ? "without cells" : "with cells");
+            const monte_carlo_source source(sg, mc, table);
+            EXPECT_EQ(expect_image_rows_scale_exactly(source), imaged ? mc.samples : 0);
+        }
         return tabled;
     };
 
-    // Spread-based sampling is covered by MonteCarloIsReproducibleUnderAFixedSeed.
     monte_carlo_options mc;
     mc.samples = 12;
     mc.seed = 99;
     {
-        // Explicit ranges.  Arc 0's grid needs lo.den * span.den = 2^70,
-        // past int64, so it samples through the exact rational fallback.
+        SCOPED_TRACE("spread");
+        monte_carlo_options spread = mc;
+        spread.spread = rational(2, 7);
+        spread.resolution = 9;
+        expect_same(spread, true);
+    }
+    {
         SCOPED_TRACE("ranges");
         monte_carlo_options ranged = mc;
         for (arc_id a = 0; a < sg.arc_count(); ++a)
             ranged.ranges.push_back({sg.arc(a).delay, sg.arc(a).delay + rational(1, 2)});
+        expect_same(ranged, true);
+
+        // Arc 0's grid needs lo.den * span.den = 2^70, past int64, so it
+        // samples through the exact rational fallback, and no row has an
+        // image.
+        SCOPED_TRACE("2^70 fallback arc");
         const rational lo(1, std::int64_t{1} << 40);
         ranged.ranges[0] = {lo, lo + rational(1, std::int64_t{1} << 30)};
-        for (const scenario& s : expect_same(ranged)) {
+        for (const scenario& s : expect_same(ranged, false)) {
             EXPECT_LE(ranged.ranges[0].lo, s.delay[0]);
             EXPECT_LE(s.delay[0], ranged.ranges[0].hi);
         }
@@ -219,13 +264,13 @@ TEST(Scenario, MonteCarloTableMatchesComputedSamplingOnEveryGridShape)
             vdd.sensitivity.push_back(rational(static_cast<std::int64_t>(a % 3), 10));
         correlated.model.sources.push_back(vdd);
         correlated.model.resolution = 8;
-        expect_same(correlated);
+        expect_same(correlated, false); // the model's shift has no image
     }
     {
         SCOPED_TRACE("first_sample");
         monte_carlo_options later = mc;
         later.first_sample = 1000;
-        EXPECT_EQ(expect_same(later).front().label, "mc#1000 seed=99");
+        EXPECT_EQ(expect_same(later, true).front().label, "mc#1000 seed=99");
     }
 
     // A table built for another resolution is refused.
@@ -238,23 +283,28 @@ TEST(Scenario, MonteCarloTableMatchesComputedSamplingOnEveryGridShape)
 TEST(Scenario, MonteCarloTableImageScalesEveryCellExactly)
 {
     const signal_graph sg = random_fractional_graph(7, 16);
-    const auto expect_exact_image = [&](const monte_carlo_options& mc) {
+    const auto expect_exact_image = [&](monte_carlo_options mc) {
         const monte_carlo_table table = build_monte_carlo_table(sg, mc);
         ASSERT_NE(table.scale, 0);
-        ASSERT_EQ(table.scaled.size(), table.values.size());
+        ASSERT_EQ(table.image.size(), sg.arc_count());
         const auto stride = static_cast<std::size_t>(table.resolution + 1);
+        ASSERT_EQ(table.values.size(), sg.arc_count() * stride);
         int128 mass = 0;
-        for (arc_id a = 0; a < table.arc_count; ++a) {
-            std::int64_t heaviest = 0;
+        for (arc_id a = 0; a < sg.arc_count(); ++a) {
+            rational heaviest(0);
             for (std::size_t u = 0; u < stride; ++u) {
-                const std::size_t cell = a * stride + u;
-                EXPECT_EQ(table.scale % table.values[cell].den(), 0) << cell;
-                EXPECT_EQ(rational(table.scaled[cell], table.scale), table.values[cell]) << cell;
-                heaviest = std::max(heaviest, table.scaled[cell]);
+                const rational& cell = table.values[a * stride + u];
+                EXPECT_EQ(table.scale % cell.den(), 0) << a << ", " << u;
+                heaviest = max(heaviest, cell);
             }
-            mass += heaviest;
+            mass += static_cast<int128>(heaviest.num()) * (table.scale / heaviest.den());
         }
         EXPECT_EQ(table.period_limit, fixed_point_period_limit(mass));
+
+        // Every cell a sample draws reaches its image row exactly.
+        mc.samples = 64;
+        const monte_carlo_source source(sg, mc, std::make_shared<const monte_carlo_table>(table));
+        EXPECT_EQ(expect_image_rows_scale_exactly(source), mc.samples);
     };
     monte_carlo_options mc;
     expect_exact_image(mc);
@@ -270,8 +320,127 @@ TEST(Scenario, MonteCarloTableImageScalesEveryCellExactly)
     mc.ranges[0] = {lo, lo + rational(1, std::int64_t{1} << 30)};
     const monte_carlo_table fallback = build_monte_carlo_table(sg, mc);
     EXPECT_EQ(fallback.scale, 0);
-    EXPECT_TRUE(fallback.scaled.empty());
+    EXPECT_TRUE(fallback.image.empty());
     EXPECT_EQ(fallback.values.size(), sg.arc_count() * 10);
+}
+
+TEST(Scenario, SamplingTablesAreCachedPerEngineAndGrid)
+{
+    const signal_graph sg = random_fractional_graph(7, 16);
+    const compiled_graph base(sg);
+    monte_carlo_options mc; // spread 1/10, resolution 16
+
+    {
+        // The tool's rule: one request of 16 samples at resolution 16 draws
+        // computed rows, one of 17 builds the cells.
+        const scenario_engine engine(base);
+        const auto sixteen = engine.sampling_table(mc, 16);
+        EXPECT_TRUE(sixteen->values.empty());
+        EXPECT_NE(sixteen->scale, 0);
+        EXPECT_EQ(engine.sampling_table(mc, 0), sixteen); // same engine, same grid
+        // The service's rule: the samples asked for add up per grid, so the
+        // next request passes the resolution and gets the cells, in a new
+        // table with the same grid and image.
+        const auto more = engine.sampling_table(mc, 1);
+        EXPECT_NE(more, sixteen);
+        EXPECT_EQ(more->values.size(), sg.arc_count() * 17);
+        EXPECT_EQ(more->scale, sixteen->scale);
+        EXPECT_EQ(more->period_limit, sixteen->period_limit);
+        for (arc_id a = 0; a < sg.arc_count(); ++a) {
+            EXPECT_EQ(more->image[a].base, sixteen->image[a].base);
+            EXPECT_EQ(more->image[a].step, sixteen->image[a].step);
+            for (std::int64_t u = 0; u <= 16; ++u)
+                EXPECT_EQ(more->value(a, u), sixteen->value(a, u));
+        }
+        EXPECT_EQ(engine.sampling_table(mc, 1), more);
+        EXPECT_EQ(engine.sampling_table(mc, 5000), more);
+
+        monte_carlo_options other = mc; // another grid: its own table
+        other.spread = rational(1, 7);
+        EXPECT_NE(engine.sampling_table(other, 1), more);
+        // The model and the sample window do not shape the grid.
+        monte_carlo_options windowed = mc;
+        windowed.seed = 5;
+        windowed.first_sample = 99;
+        EXPECT_EQ(engine.sampling_table(windowed, 1), more);
+    }
+    {
+        const scenario_engine engine(base);
+        EXPECT_EQ(engine.sampling_table(mc, 17)->values.size(), sg.arc_count() * 17);
+    }
+    {
+        // Explicit ranges are built on every call, under the tool's rule.
+        const scenario_engine engine(base);
+        monte_carlo_options ranged = mc;
+        for (arc_id a = 0; a < sg.arc_count(); ++a)
+            ranged.ranges.push_back({sg.arc(a).delay, sg.arc(a).delay + rational(1, 2)});
+        const auto first = engine.sampling_table(ranged, 16);
+        const auto second = engine.sampling_table(ranged, 16);
+        EXPECT_NE(first, second);
+        EXPECT_TRUE(first->values.empty());
+        EXPECT_TRUE(second->values.empty());
+        EXPECT_EQ(engine.sampling_table(ranged, 17)->values.size(), sg.arc_count() * 17);
+    }
+    {
+        // Past the 4096-point bound no cells are built, however many
+        // samples are asked for; the image does not depend on the cells.
+        const scenario_engine engine(base);
+        monte_carlo_options fine = mc;
+        fine.resolution = 5000;
+        fine.samples = 40;
+        const auto table = engine.sampling_table(fine, 1'000'000);
+        EXPECT_TRUE(table->values.empty());
+        ASSERT_NE(table->scale, 0);
+        const monte_carlo_source source(sg, fine, table);
+        EXPECT_EQ(expect_image_rows_scale_exactly(source), fine.samples);
+    }
+    {
+        // Workers share an engine: every call counts once, and the cells
+        // follow once the total passes the resolution.
+        const scenario_engine engine(base);
+        const std::int64_t scale = build_monte_carlo_table(sg, mc).scale;
+        std::atomic<bool> same_image{true};
+        std::vector<std::thread> workers;
+        for (int t = 0; t < 4; ++t)
+            workers.emplace_back([&] {
+                for (int k = 0; k < 8; ++k)
+                    if (engine.sampling_table(mc, 4)->scale != scale) same_image = false;
+            });
+        for (std::thread& w : workers) w.join();
+        EXPECT_TRUE(same_image);
+        EXPECT_EQ(engine.sampling_table(mc, 0)->values.size(), sg.arc_count() * 17);
+    }
+    {
+        // Invalid grids throw and leave nothing cached.
+        const scenario_engine engine(base);
+        monte_carlo_options bad = mc;
+        bad.spread = rational(-1, 10);
+        EXPECT_THROW((void)engine.sampling_table(bad, 1), error);
+        EXPECT_THROW((void)engine.sampling_table(bad, 1), error);
+    }
+}
+
+TEST(Scenario, NominalIsTheCycleTimeAtTheSnapshotDelays)
+{
+    sg_builder b;
+    b.event("a").event("b").event("c");
+    b.arc("a", "b", rational(3, 2)).arc("b", "c", rational(5, 3)).arc("a", "c", rational(2));
+    const signal_graph acyclic = b.build();
+    ASSERT_TRUE(acyclic.repetitive_events().empty());
+    const std::pair<const char*, signal_graph> graphs[] = {
+        {"cyclic", random_fractional_graph(7, 16)},
+        {"acyclic", acyclic},
+    };
+    for (const auto& [name, sg] : graphs) {
+        SCOPED_TRACE(name);
+        const compiled_graph base(sg);
+        const scenario_engine engine(base);
+        const rational nominal = engine.nominal(/*analysis_threads=*/2);
+        for (const cycle_time_solver solver :
+             {cycle_time_solver::border_sweep, cycle_time_solver::howard})
+            EXPECT_EQ(nominal, engine.evaluate(base.delay(), false, 1, solver).cycle_time);
+        EXPECT_EQ(engine.nominal(1), nominal);
+    }
 }
 
 TEST(Scenario, ParallelBatchMatchesSerialBatch)

@@ -245,13 +245,15 @@ TEST(Service, CoalescedLaneGroupMixesScalesAndTheRationalPath)
     service.register_design("chip", sg);
 
     // Three requests filling one lane group of 8: two grids whose int64
-    // images differ in scale, and one too fine to tabulate, which packs
-    // its lanes from rationals.
+    // images differ in scale, and one whose common scale passes the
+    // fixed-point cap (its spread's denominator is a prime past 2^31): it
+    // has no image, and each of its lanes, packed from rationals, is
+    // evicted to the exact rational path.
     std::vector<analysis_request> requests;
     for (const auto& [spread, resolution, samples] :
          {std::tuple{rational(1, 10), std::int64_t{16}, std::size_t{3}},
           std::tuple{rational(1, 7), std::int64_t{16}, std::size_t{3}},
-          std::tuple{rational(1, 10), std::int64_t{5000}, std::size_t{2}}}) {
+          std::tuple{rational(1, 2147483659), std::int64_t{16}, std::size_t{2}}}) {
         analysis_request r =
             make_request(request_kind::montecarlo, "mc-" + std::to_string(requests.size()));
         r.options.spread = spread;
@@ -269,7 +271,7 @@ TEST(Service, CoalescedLaneGroupMixesScalesAndTheRationalPath)
     ASSERT_NE(first.scale, 0);
     ASSERT_NE(second.scale, 0);
     ASSERT_NE(first.scale, second.scale);
-    ASSERT_FALSE(monte_carlo_table_fits(sg, requests[2].options.to_monte_carlo_options()));
+    ASSERT_EQ(build_monte_carlo_table(sg, requests[2].options.to_monte_carlo_options()).scale, 0);
 
     std::vector<std::string> expected;
     for (const analysis_request& request : requests) {
@@ -298,7 +300,8 @@ TEST(Service, CoalescedLaneGroupMixesScalesAndTheRationalPath)
         const json_value doc = json_parse(response.payload, "payload");
         const json_value* engine = doc.find("aggregate")->find("engine");
         EXPECT_EQ(engine->find("lane_groups")->text, "1") << requests[i].id;
-        EXPECT_EQ(engine->find("lane_scenarios")->text, "8") << requests[i].id;
+        EXPECT_EQ(engine->find("lane_scenarios")->text, "6") << requests[i].id;
+        EXPECT_EQ(engine->find("lane_evictions")->text, "2") << requests[i].id;
     }
     EXPECT_EQ(service.metrics().engine_batches, 1u);
 }
